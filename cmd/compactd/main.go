@@ -103,6 +103,12 @@ func run(args []string) int {
 		log.Printf("compactd: shutdown: %v", err)
 		return 1
 	}
+	// Join the background solves and job runners so their final records
+	// reach the store before the process exits.
+	if err := srv.Close(shutdownCtx); err != nil {
+		log.Printf("compactd: close: %v", err)
+		return 1
+	}
 	return 0
 }
 

@@ -6,9 +6,12 @@
 //	experiments [-out results] [-timelimit 60s] [-quick] [-v] [exp ...]
 //
 // where each exp is one of: table1 table2 table3 table4 fig9 fig10 fig11
-// fig12 fig13 baselines ablations scaling, or "all" (the default). The last two go
-// beyond the paper: a DNF/staircase/COMPACT generation comparison and the
-// DESIGN.md §5 ablation sweep.
+// fig12 fig13 baselines ablations scaling flow3d partition margin, or
+// "all" (the default). The last six go beyond the paper: a
+// DNF/staircase/COMPACT generation comparison, the DESIGN.md §5 ablation
+// sweep, semiperimeter growth on parametric families, the FLOW-3D S-vs-K
+// sweep, partition overhead under 32x32 tile caps, and variation yield
+// with the margin-aware placement delta.
 package main
 
 import (
@@ -39,6 +42,9 @@ var experiments = []struct {
 	{"baselines", exp.Baselines},
 	{"ablations", exp.Ablations},
 	{"scaling", exp.Scaling},
+	{"flow3d", exp.Flow3D},
+	{"partition", exp.Partition},
+	{"margin", exp.Margin},
 }
 
 func main() {

@@ -16,7 +16,7 @@ import (
 )
 
 // epflTrio is the K-equivalence regression set: the three EPFL control
-// benchmarks the paper's Table I reports and flow3dbench sweeps.
+// benchmarks the paper's Table I reports and the flow3d experiment sweeps.
 var epflTrio = []string{"ctrl", "cavlc", "int2float"}
 
 // TestLayeredK2Equivalence pins the K <= 2 reduction on the EPFL trio:

@@ -90,10 +90,9 @@ func (t *Table) Render() string {
 		fmt.Fprintf(&b, "%-*s  ", widths[i], c)
 	}
 	b.WriteByte('\n')
-	for i := range t.Columns {
-		b.WriteString(strings.Repeat("-", widths[i]))
+	for _, w := range widths {
+		b.WriteString(strings.Repeat("-", w))
 		b.WriteString("  ")
-		_ = i
 	}
 	b.WriteByte('\n')
 	for _, r := range t.Rows {

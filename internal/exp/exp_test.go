@@ -3,6 +3,7 @@ package exp
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -227,5 +228,92 @@ func TestScalingQuick(t *testing.T) {
 		if rc >= rs {
 			t.Errorf("%s: compact ratio %s not below staircase %s", r[0], rc, rs)
 		}
+	}
+}
+
+// TestFlow3DQuick checks every (circuit, K) point verifies and that the
+// layered stack pays off on ctrl: S(K=3) < S(K=2), and S never grows
+// with K (TestLayeredSMonotone pins the same on the whole EPFL trio).
+func TestFlow3DQuick(t *testing.T) {
+	tab, err := Flow3D(quickCfg(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != len(layerSweep) {
+		t.Fatalf("got %d rows, want one per K", len(tab.Rows))
+	}
+	s := make(map[string]int)
+	prev := 1 << 30
+	for _, r := range tab.Rows {
+		if r[0] != "ctrl" {
+			t.Fatalf("quick run swept %s, want ctrl only", r[0])
+		}
+		if r[7] != "true" {
+			t.Errorf("ctrl K=%s not verified: %v", r[1], tab.Notes)
+		}
+		cur := atoiOr(r[2], 1<<30)
+		if cur > prev {
+			t.Errorf("ctrl K=%s: S=%d grew from %d", r[1], cur, prev)
+		}
+		prev = cur
+		s[r[1]] = cur
+	}
+	if s["3"] >= s["2"] {
+		t.Errorf("ctrl: S(K=3)=%d not below S(K=2)=%d", s["3"], s["2"])
+	}
+}
+
+// TestPartitionQuick checks ctrl needs more than one 32x32 tile and that
+// every tile fits the caps (TestPartitionBenchAcceptance also verifies
+// the plan's Eval parity on the trio).
+func TestPartitionQuick(t *testing.T) {
+	tab, err := Partition(quickCfg(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 1 || tab.Rows[0][0] != "ctrl" {
+		t.Fatalf("quick run rows: %v", tab.Rows)
+	}
+	r := tab.Rows[0]
+	if tiles := atoiOr(r[3], 0); tiles < 2 {
+		t.Errorf("ctrl: %d tiles, want at least 2 under 32x32 caps", tiles)
+	}
+	dims := strings.Split(r[8], "x")
+	if len(dims) != 2 {
+		t.Fatalf("ctrl: malformed max_tile %q", r[8])
+	}
+	for _, d := range dims {
+		if atoiOr(d, 1<<30) > partitionCaps {
+			t.Errorf("ctrl: largest tile %s exceeds the %d caps", r[8], partitionCaps)
+		}
+	}
+}
+
+// TestMarginQuick checks the yields are probabilities and that
+// margin-aware placement improves the worst-case margin on ctrl
+// (TestMarginAwarePlacementImprovesMargin pins the same on a small
+// network).
+func TestMarginQuick(t *testing.T) {
+	tab, err := Margin(quickCfg(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 1 || tab.Rows[0][0] != "ctrl" {
+		t.Fatalf("quick run rows: %v", tab.Rows)
+	}
+	r := tab.Rows[0]
+	for i := range marginSigmas {
+		y, err := strconv.ParseFloat(r[3+2*i], 64)
+		if err != nil || y < 0 || y > 1 {
+			t.Errorf("ctrl: yield@%g = %q is not a probability", marginSigmas[i], r[3+2*i])
+		}
+	}
+	col := len(tab.Columns) - 2 // delta
+	delta, err := strconv.ParseFloat(r[col], 64)
+	if err != nil {
+		t.Fatalf("ctrl: unparsable delta %q", r[col])
+	}
+	if delta <= 0 {
+		t.Errorf("ctrl: margin-aware delta %+.4f, want > 0", delta)
 	}
 }

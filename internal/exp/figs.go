@@ -234,10 +234,3 @@ func geomean(xs []float64) float64 {
 	}
 	return math.Exp(s / float64(len(xs)))
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -365,7 +365,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.metrics.jobsSubmitted.Add(1)
 	s.metrics.jobsActive.Add(1)
 	s.jobs.persist(j.snapshot())
-	go s.runJob(jobctx, j, nw, opts)
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.runJob(jobctx, j, nw, opts)
+	}()
 	writeJSON(w, http.StatusAccepted, jobSubmitResponse{
 		ID:        id,
 		Status:    jobQueued,

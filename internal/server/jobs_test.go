@@ -186,6 +186,7 @@ func TestJobInterruptedOnRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeOnCleanup(t, srvA)
 	tsA := httptest.NewServer(srvA.Handler())
 	t.Cleanup(tsA.Close)
 
@@ -219,6 +220,7 @@ func TestJobInterruptedOnRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeOnCleanup(t, srvB)
 	tsB := httptest.NewServer(srvB.Handler())
 	t.Cleanup(tsB.Close)
 

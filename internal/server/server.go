@@ -46,6 +46,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"compact/internal/bench"
@@ -135,6 +136,8 @@ var errShuttingDown = errors.New("server: shutting down")
 type Server struct {
 	cfg     Config
 	base    context.Context
+	stop    context.CancelFunc // ends base; see Close
+	wg      sync.WaitGroup     // job runners and singleflight leaders
 	metrics *metrics
 	cache   *tieredCache
 	flights *flightGroup
@@ -145,13 +148,13 @@ type Server struct {
 	benches []benchmarkInfo
 }
 
-// New builds a Server. base is the server's lifetime: canceling it fails
-// new and queued solves with 503 (in-flight HTTP exchanges are the
-// embedding http.Server's to drain; pair this with Shutdown). New fails
-// only when cfg.StoreDir is set but cannot be opened; job records from a
-// previous run under the same directory are recovered (interrupted jobs
-// resurface as failed with the "interrupted" code, completed ones keep
-// serving their stored results).
+// New builds a Server. base bounds the server's lifetime: canceling it
+// (or calling Close) fails new and queued solves with 503 (in-flight HTTP
+// exchanges are the embedding http.Server's to drain; pair this with
+// Shutdown, then Close). New fails only when cfg.StoreDir is set but
+// cannot be opened; job records from a previous run under the same
+// directory are recovered (interrupted jobs resurface as failed with the
+// "interrupted" code, completed ones keep serving their stored results).
 func New(base context.Context, cfg Config) (*Server, error) {
 	if base == nil {
 		base = context.Background()
@@ -166,18 +169,21 @@ func New(base context.Context, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: opening store: %w", err)
 		}
 	}
+	base, stop := context.WithCancel(base)
 	s := &Server{
 		cfg:     cfg,
 		base:    base,
+		stop:    stop,
 		metrics: m,
 		cache:   newTieredCache(newResultCache(cfg.CacheEntries, cfg.CacheBytes), disk, m),
-		flights: newFlightGroup(),
 		sem:     make(chan struct{}, cfg.Workers),
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
 	}
+	s.flights = newFlightGroup(&s.wg)
 	jobs, err := newJobTable(cfg.MaxJobs, cfg.StoreDir, m)
 	if err != nil {
+		stop()
 		return nil, fmt.Errorf("server: recovering job table: %w", err)
 	}
 	s.jobs = jobs
@@ -208,6 +214,27 @@ func New(base context.Context, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	return s, nil
+}
+
+// Close ends the server's lifetime and waits until every background
+// goroutine it started (async job runners and detached singleflight
+// solves) has returned, so no job record or store entry is written after
+// Close returns. It gives up with ctx's error when ctx ends first. Call it
+// after the embedding http.Server has shut down; a solve requested
+// meanwhile fails with 503.
+func (s *Server) Close(ctx context.Context) error {
+	s.stop()
+	done := make(chan struct{})
+	go func() {
+		s.wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // Handler returns the server's HTTP handler. Responses the mux generates

@@ -51,6 +51,25 @@ func newHTTPServer(t *testing.T, srv *Server) *httptest.Server {
 	return ts
 }
 
+// closeServer ends srv's lifetime and joins its background goroutines,
+// so nothing writes to its store directory afterwards.
+func closeServer(t *testing.T, srv *Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Close(ctx); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+}
+
+// closeOnCleanup runs closeServer at test cleanup. Register it after
+// t.TempDir: cleanups run last-in first-out, so the server is joined
+// before its store directory is removed.
+func closeOnCleanup(t *testing.T, srv *Server) {
+	t.Helper()
+	t.Cleanup(func() { closeServer(t, srv) })
+}
+
 // post sends one synthesize request and returns status, the
 // X-Compactd-Cache disposition and the body.
 func post(t *testing.T, url, body string) (int, string, []byte) {

@@ -18,8 +18,7 @@ func TestRestartWarmFromDiskTier(t *testing.T) {
 	req := circuitRequest(`{"method": "heuristic"}`)
 
 	// First life: populate both tiers, then shut down.
-	ctxA, cancelA := context.WithCancel(context.Background())
-	srvA, err := New(ctxA, Config{StoreDir: dir})
+	srvA, err := New(context.Background(), Config{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +28,7 @@ func TestRestartWarmFromDiskTier(t *testing.T) {
 		t.Fatalf("first life: status %d disposition %q, body %s", status, disp, first)
 	}
 	tsA.Close()
-	cancelA()
+	closeServer(t, srvA)
 
 	// Second life: fresh process state, same directory.
 	ctxB, cancelB := context.WithCancel(context.Background())
@@ -38,6 +37,7 @@ func TestRestartWarmFromDiskTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeOnCleanup(t, srvB)
 	tsB := newHTTPServer(t, srvB)
 
 	status, disp, warm := post(t, tsB.URL, req)
@@ -88,8 +88,7 @@ func TestJobResultSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	req := circuitRequest(`{"method": "heuristic"}`)
 
-	ctxA, cancelA := context.WithCancel(context.Background())
-	srvA, err := New(ctxA, Config{StoreDir: dir})
+	srvA, err := New(context.Background(), Config{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func TestJobResultSurvivesRestart(t *testing.T) {
 	first, _ := io.ReadAll(resp.Body)
 	_ = resp.Body.Close()
 	tsA.Close()
-	cancelA()
+	closeServer(t, srvA)
 
 	ctxB, cancelB := context.WithCancel(context.Background())
 	t.Cleanup(cancelB)
@@ -117,6 +116,7 @@ func TestJobResultSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeOnCleanup(t, srvB)
 	tsB := newHTTPServer(t, srvB)
 
 	status, doc2, raw := doJSON(t, http.MethodGet, tsB.URL+sub.StatusURL, "")
