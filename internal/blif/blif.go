@@ -35,7 +35,7 @@ type cube struct {
 // any order. Covers with output value '0' (off-set covers) are complemented.
 func Parse(r io.Reader) (*logic.Network, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	sc.Buffer(nil, 64<<20) // grown on demand up to the 64 MiB token cap
 
 	var model string
 	var inputs, outputs []string

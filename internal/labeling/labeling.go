@@ -684,37 +684,38 @@ func solveMIP(ctx context.Context, p Problem, opts Options, primer *Solution, be
 	}
 	inc := incumbentFromLabels(mod.NumVars(), p, best.Labels, xV, xH, xE, dVar, edges)
 
-	// Memory guard: the production LP core is the sparse revised simplex,
-	// but it falls back to the dense oracle on numerical trouble, and the
-	// dense tableau takes roughly rows x (vars + 2*rows) float64 cells — so
-	// the guard stays sized for the worst case. Graphs beyond that budget get
-	// the analytic bound instead — objective >= γ(n+k) + (1−γ)·⌈(n+k)/2⌉,
-	// valid because S >= n+kLB and D >= S/2 — reported with the heuristic
-	// incumbent, exactly the anytime data Figure 11 plots for circuits the
-	// paper's CPLEX could not close either.
-	rows := int64(mod.NumConstrs())
-	cols := int64(mod.NumVars()) + 2*rows
-	if rows*cols*8 > maxTableauBytes {
+	// The analytic bound: objective >= γ(n+k) + (1−γ)·⌈(n+k)/2⌉, valid
+	// because S >= n+kLB and D >= S/2.
+	analytic := gamma*float64(n+kLB) + (1-gamma)*math.Ceil(float64(n+kLB)/2)
+	// bounded returns the incumbent with the analytic bound as its only trace
+	// event, for the paths where the branch & bound does not run — exactly
+	// the anytime data Figure 11 plots for circuits the paper's CPLEX could
+	// not close either. The incumbent is proven optimal iff it meets the bound.
+	// (A fresh Solution: best may alias the portfolio's shared primer.)
+	bounded := func(method string) *Solution {
 		obj := best.Stats.Objective(gamma)
-		bound := gamma*float64(n+kLB) + (1-gamma)*math.Ceil(float64(n+kLB)/2)
 		gap := 0.0
 		if obj > 0 {
-			gap = (obj - bound) / obj
-			if gap < 0 {
-				gap = 0
-			}
+			gap = max((obj-analytic)/obj, 0)
 		}
 		return &Solution{
 			Labels:  best.Labels,
 			Stats:   best.Stats,
 			Optimal: gap <= 1e-9,
-			Method:  "mip-bounded",
-			Trace: []ilp.TraceEvent{{
-				Incumbent: obj,
-				Bound:     bound,
-				Gap:       gap,
-			}},
-		}, nil
+			Method:  method,
+			Trace:   []ilp.TraceEvent{{Incumbent: obj, Bound: analytic, Gap: gap}},
+		}
+	}
+
+	// Memory guard: the production LP core is the sparse revised simplex,
+	// but it falls back to the dense oracle on numerical trouble, and the
+	// dense tableau takes roughly rows x (vars + 2*rows) float64 cells — so
+	// the guard stays sized for the worst case. Graphs beyond that budget get
+	// the analytic bound instead.
+	rows := int64(mod.NumConstrs())
+	cols := int64(mod.NumVars()) + 2*rows
+	if rows*cols*8 > maxTableauBytes {
+		return bounded("mip-bounded"), nil
 	}
 
 	sol, err := ilp.SolveContext(ctx, mod, ilp.Options{
@@ -723,9 +724,8 @@ func solveMIP(ctx context.Context, p Problem, opts Options, primer *Solution, be
 	if err != nil {
 		if ctx.Err() != nil {
 			// Budget expired between model build and solve: anytime
-			// contract — return the incumbent rather than an error. (A
-			// fresh Solution: best may alias the portfolio's shared primer.)
-			return &Solution{Labels: best.Labels, Stats: best.Stats, Method: "mip-fallback"}, nil
+			// contract — return the incumbent rather than an error.
+			return bounded("mip-fallback"), nil
 		}
 		return nil, fmt.Errorf("labeling: MIP solve: %w", err)
 	}
@@ -761,7 +761,6 @@ func solveMIP(ctx context.Context, p Problem, opts Options, primer *Solution, be
 	// the branch & bound's proven bound — crucial when the time limit
 	// expires before even the root LP finishes (the bound would otherwise
 	// read −∞ and the gap a meaningless 1.0).
-	analytic := gamma*float64(n+kLB) + (1-gamma)*math.Ceil(float64(n+kLB)/2)
 	obj := st.Objective(gamma)
 	bound := analytic
 	if len(sol.Trace) > 0 && sol.Trace[len(sol.Trace)-1].Bound > bound {

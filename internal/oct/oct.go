@@ -190,42 +190,20 @@ func Verify(g *graph.Graph, res Result) bool {
 	return true
 }
 
-// Heuristic computes a (not necessarily minimum) OCT greedily: BFS
-// 2-coloring that moves conflict vertices into the transversal, followed by
-// a pruning pass that re-admits unnecessary transversal vertices.
+// Heuristic computes a (not necessarily minimum) OCT greedily in O(n+m)
+// time: a BFS 2-coloring, started from each uncolored vertex in id order,
+// moves every conflict vertex into the transversal.
+//
+// The result is minimal — no transversal vertex can be returned alone.
+// A vertex the BFS has processed never enters the OCT (it gave each
+// neighbor the opposite color or sent it to the OCT), so every BFS tree
+// path lies in g − OCT. A conflict vertex v, found at a processed u with
+// side[v] == side[u], therefore closes the odd walk root→u, u–v,
+// v→parent(v)→root whose other vertices all stay in g − OCT.
 func Heuristic(g *graph.Graph) Result {
 	oct := make(map[int]bool)
-	// Order vertices by descending degree: high-degree vertices are more
-	// likely to close odd cycles, so resolving conflicts at them first
-	// keeps the transversal small.
 	side := colorGreedy(g, oct)
-	// Prune: try returning each OCT vertex (ascending degree) if the
-	// residual graph stays bipartite.
-	verts := make([]int, 0, len(oct))
-	for v := range oct {
-		verts = append(verts, v)
-	}
-	sortByDegree(g, verts)
-	for _, v := range verts {
-		delete(oct, v)
-		if s := tryColor(g, oct); s != nil {
-			side = s
-		} else {
-			oct[v] = true
-		}
-	}
-	for v := range oct {
-		side[v] = -1
-	}
 	return Result{OCT: oct, Side: side, Optimal: len(oct) == 0}
-}
-
-func sortByDegree(g *graph.Graph, vs []int) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && g.Degree(vs[j]) < g.Degree(vs[j-1]); j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
 }
 
 // colorGreedy BFS-colors g, pushing conflicting vertices into oct.
@@ -261,41 +239,6 @@ func colorGreedy(g *graph.Graph, oct map[int]bool) []int {
 				}
 			}
 		}
-	}
-	return side
-}
-
-// tryColor 2-colors g minus oct, returning nil if not bipartite.
-func tryColor(g *graph.Graph, oct map[int]bool) []int {
-	n := g.N()
-	side := make([]int, n)
-	for i := range side {
-		side[i] = -2
-	}
-	for s := 0; s < n; s++ {
-		if side[s] != -2 || oct[s] {
-			continue
-		}
-		side[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.Adj(u) {
-				if oct[v] {
-					continue
-				}
-				if side[v] == -2 {
-					side[v] = 1 - side[u]
-					queue = append(queue, v)
-				} else if side[v] == side[u] {
-					return nil
-				}
-			}
-		}
-	}
-	for v := range oct {
-		side[v] = -1
 	}
 	return side
 }

@@ -2,6 +2,8 @@ package oct
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -188,5 +190,45 @@ func TestVerifyCatchesBadColoring(t *testing.T) {
 	bad := Result{OCT: map[int]bool{}, Side: []int{0, 0, 1, 1}}
 	if Verify(g, bad) {
 		t.Error("invalid coloring accepted")
+	}
+}
+
+// pruneOracle is the prune Heuristic once ran after colorGreedy: each OCT
+// vertex, in ascending (degree, vertex id) order, leaves oct if a full
+// re-coloring of the residual graph still succeeds, at O(k·(n+m)).
+func pruneOracle(g *graph.Graph, oct map[int]bool) {
+	verts := make([]int, 0, len(oct))
+	for v := range oct {
+		verts = append(verts, v)
+	}
+	sort.Slice(verts, func(i, j int) bool {
+		di, dj := g.Degree(verts[i]), g.Degree(verts[j])
+		return di < dj || di == dj && verts[i] < verts[j]
+	})
+	for _, v := range verts {
+		delete(oct, v)
+		if sub, _ := g.RemoveVertices(oct); !sub.IsBipartite() {
+			oct[v] = true
+		}
+	}
+}
+
+// TestHeuristicOCTIsMinimal checks that the greedy OCT leaves the old
+// per-vertex prune nothing to re-admit, the invariant Heuristic's doc
+// comment proves.
+func TestHeuristicOCTIsMinimal(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(40)
+		g := randomGraph(rng, n, rng.Float64()*0.3)
+		res := Heuristic(g)
+		pruned := make(map[int]bool, len(res.OCT))
+		for v := range res.OCT {
+			pruned[v] = true
+		}
+		pruneOracle(g, pruned)
+		if !reflect.DeepEqual(pruned, res.OCT) {
+			t.Fatalf("trial %d: oracle pruned greedy OCT %v to %v", trial, res.OCT, pruned)
+		}
 	}
 }

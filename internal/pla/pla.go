@@ -57,7 +57,7 @@ type Cube struct {
 // Parse reads a PLA table from r.
 func Parse(r io.Reader) (*Table, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
+	sc.Buffer(nil, 64<<20) // grown on demand up to the 64 MiB token cap
 	t := &Table{NumIn: -1, NumOut: -1, DeclaredNP: -1}
 	lineNo := 0
 	for sc.Scan() {
