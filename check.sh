@@ -15,14 +15,18 @@
 #                    layered (FLOW-3D) design wire decoder, the partition
 #                    plan decoder, the persistent store's on-disk entry
 #                    codec and the spice dense-vs-CG solver cross-check)
-#   7. compactlint — the project's own analyzers, including the compactflow
+#   7. perfbench   — the benchmark module's own tests (perfbench is a
+#                    separate Go module, so step 3 never reaches it): every
+#                    workload runs briefly, untraced and traced
+#   8. compactlint — the project's own analyzers, including the compactflow
 #                    dataflow suite (allocbound, ctxflow, gospawn) and the
 #                    staleignore check on //lint:ignore directives; any
 #                    finding fails the gate, and so does blowing the 60s
 #                    wall-clock budget the suite promises CI
 #
 # Usage: ./check.sh [-short] [-bench]
-#   -short skips the -race pass (the slowest step) for quick local loops.
+#   -short skips the -race, fuzz smoke and perfbench steps for quick local
+#          loops.
 #   -bench additionally prints the Go micro-benchmarks of the labeling,
 #          ILP and crossbar kernels (word-parallel verify, revised simplex,
 #          parallel B&B) and regenerates the three extension experiments
@@ -79,6 +83,9 @@ if [ "$short" -eq 0 ]; then
     go test -fuzz=FuzzPlanJSON -fuzztime=5s -run='^$' ./internal/partition/
     go test -fuzz=FuzzStoreEntry -fuzztime=5s -run='^$' ./internal/store/
     go test -fuzz=FuzzDenseVsCG -fuzztime=5s -run='^$' ./internal/spice/
+
+    echo "== perfbench tests =="
+    go -C perfbench test ./...
 fi
 
 echo "== compactlint =="

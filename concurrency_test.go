@@ -78,10 +78,10 @@ func TestSynthesizeConcurrentMethods(t *testing.T) {
 }
 
 // TestDesignEvalConcurrentFirstUse evaluates a freshly synthesized design
-// from many goroutines with no prior warm-up call: the very first Eval
-// builds the design's sparse-cell cache lazily, and that build must be safe
-// when several Evals race to trigger it (sync.Once in Design.sparseCells;
-// the race detector enforces it).
+// from many goroutines with no prior warm-up call: evaluation only reads
+// the cell list xbar.NewDesign built when the design was mapped, so the
+// racing Evals must share no mutable state (the race detector enforces
+// it).
 func TestDesignEvalConcurrentFirstUse(t *testing.T) {
 	t.Parallel()
 	nw := buildParity(5)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"compact/internal/defect"
 	"compact/internal/faultinject"
@@ -125,7 +126,9 @@ func (r *Result) placeWithRepair(ctx context.Context, dm *defect.Map, opts Optio
 		if mode, _ := faultinject.Mode(faultinject.StagePlace); mode == "corrupt" && attempt == 0 {
 			// Deterministically hand verification a wrong effective design
 			// on the first attempt, so tests can drive the repair path.
-			corruptDesign(eff)
+			if eff, err = corruptDesign(eff); err != nil {
+				return fmt.Errorf("core: placement: %w", err)
+			}
 			injected = true
 		}
 		if err := r.verifyEffective(eff); err != nil {
@@ -236,15 +239,21 @@ func (r *Result) verifyEffective(eff *xbar.Design) error {
 	return nil
 }
 
-// corruptDesign flips the polarity of the first literal cell — the
-// deterministic wrong-design used by the place=corrupt injection mode.
-func corruptDesign(d *xbar.Design) {
-	for r := range d.Cells {
-		for c := range d.Cells[r] {
-			if d.Cells[r][c].Kind == xbar.Lit {
-				d.Cells[r][c].Neg = !d.Cells[r][c].Neg
-				return
-			}
+// corruptDesign returns d with the polarity of its first literal cell
+// flipped — the deterministic wrong-design used by the place=corrupt
+// injection mode.
+func corruptDesign(d *xbar.Design) (*xbar.Design, error) {
+	cells := slices.Clone(d.Cells())
+	for i := range cells {
+		if cells[i].Kind == xbar.Lit {
+			cells[i].Neg = !cells[i].Neg
+			break
 		}
 	}
+	nd, err := xbar.NewDesign(d.Rows, d.Cols, cells)
+	if err != nil {
+		return nil, err
+	}
+	nd.InputRow, nd.OutputRows, nd.OutputNames, nd.VarNames = d.InputRow, d.OutputRows, d.OutputNames, d.VarNames
+	return nd, nil
 }

@@ -66,14 +66,37 @@ func Map(t *pla.Table) (*xbar.Design, error) {
 	if cols == 0 {
 		cols = 1
 	}
-	// Cube-chain designs explode quadratically with the cover; cap the
-	// dense cell matrix rather than exhausting memory (this baseline's
-	// unscalability is, after all, the point being demonstrated).
+	// Cube-chain designs explode quadratically with the cover; refuse
+	// grids beyond 600M crossings (this baseline's unscalability is, after
+	// all, the point being demonstrated).
 	if int64(rows)*int64(cols) > 600_000_000 {
 		return nil, fmt.Errorf("dnf: design would need %d x %d cells; the cube-chain style does not scale to this cover", rows, cols)
 	}
-	d := xbar.NewDesign(rows, cols)
-	d.InputRow = rows - 1
+	inputRow := rows - 1
+	var cells []xbar.Cell
+	nextRow := t.NumOut // first free interior wordline
+	nextCol := 0
+	for _, c := range chains {
+		// Walk input row -> col -> row -> ... -> col -> output row.
+		curRow := inputRow
+		for k := 0; k < len(c.lits); k += 2 {
+			col := nextCol
+			nextCol++
+			cells = append(cells, xbar.Cell{Row: curRow, Col: col, Entry: c.lits[k]})
+			if k+2 < len(c.lits) {
+				curRow = nextRow
+				nextRow++
+			} else {
+				curRow = c.out
+			}
+			cells = append(cells, xbar.Cell{Row: curRow, Col: col, Entry: c.lits[k+1]})
+		}
+	}
+	d, err := xbar.NewDesign(rows, cols, cells)
+	if err != nil {
+		return nil, fmt.Errorf("dnf: %w", err)
+	}
+	d.InputRow = inputRow
 	names := t.InNames
 	if len(names) != t.NumIn {
 		names = make([]string, t.NumIn)
@@ -90,35 +113,7 @@ func Map(t *pla.Table) (*xbar.Design, error) {
 		}
 		d.OutputNames = append(d.OutputNames, name)
 	}
-
-	nextRow := t.NumOut // first free interior wordline
-	nextCol := 0
-	for _, c := range chains {
-		// Walk input row -> col -> row -> ... -> col -> output row.
-		curRow := d.InputRow
-		for k := 0; k < len(c.lits); k += 2 {
-			col := nextCol
-			nextCol++
-			place(d, curRow, col, c.lits[k])
-			if k+2 < len(c.lits) {
-				curRow = nextRow
-				nextRow++
-			} else {
-				curRow = c.out
-			}
-			place(d, curRow, col, c.lits[k+1])
-		}
-	}
 	return d, nil
-}
-
-// place sets a device, merging with an identical preexisting assignment
-// (cannot occur with private chains, but guards the invariant).
-func place(d *xbar.Design, row, col int, e xbar.Entry) {
-	if d.Cells[row][col].Kind != xbar.Off {
-		panic(fmt.Sprintf("dnf: cell (%d,%d) assigned twice", row, col))
-	}
-	d.Cells[row][col] = e
 }
 
 // MapNetwork derives the minterm cover of a small network by truth-table

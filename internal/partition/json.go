@@ -53,16 +53,16 @@ type tileWire struct {
 	Name    string   `json:"name"`
 	Inputs  []string `json:"inputs"`
 	Outputs []string `json:"outputs"`
-	// Design stays raw until its dimensions have been sanity-checked:
-	// xbar's decoder allocates rows x cols cells up front, and a plan
-	// must reject absurd tile claims before paying that.
+	// Design stays raw until its dimensions have been sanity-checked: a
+	// plan rejects tile extents no builder could have emitted before
+	// decoding the tile at all.
 	Design         json.RawMessage `json:"design"`
 	Placement      *placementWire  `json:"placement,omitempty"`
 	Defects        *defect.Map     `json:"defects,omitempty"`
 	RepairAttempts int             `json:"repair_attempts,omitempty"`
 }
 
-// maxTileCells bounds a decoded tile design's dense cell count. Tiles are
+// maxTileCells bounds a decoded tile design's crossing count. Tiles are
 // small by construction (they exist because of per-tile row/column caps),
 // so anything near this bound is a hostile or corrupt document, not a
 // plan the builder could have emitted.

@@ -328,12 +328,11 @@ func symbolicCascadeOutputs(m *bdd.Manager, t *Tile, nets map[string]bdd.Node) (
 		conn[i] = bdd.Zero
 	}
 	conn[d.InputRow] = bdd.One
-	cells := sparseNonOff(d)
 	for {
 		changed := false
-		for _, sc := range cells {
-			l := lit(sc.e)
-			r, c := sc.row, d.Rows+sc.col
+		for _, cell := range d.Cells() {
+			l := lit(cell.Entry)
+			r, c := cell.Row, d.Rows+cell.Col
 			if nr := m.Or(conn[r], m.And(l, conn[c])); nr != conn[r] {
 				conn[r] = nr
 				changed = true
@@ -352,25 +351,6 @@ func symbolicCascadeOutputs(m *bdd.Manager, t *Tile, nets map[string]bdd.Node) (
 		outs[i] = conn[r]
 	}
 	return outs, nil
-}
-
-type planCell struct {
-	row, col int
-	e        xbar.Entry
-}
-
-// sparseNonOff lists a design's non-Off cells in row-major order (the
-// deterministic order the fixpoint iterates in).
-func sparseNonOff(d *xbar.Design) []planCell {
-	var cells []planCell
-	for r, row := range d.Cells {
-		for c, e := range row {
-			if e.Kind != xbar.Off {
-				cells = append(cells, planCell{r, c, e})
-			}
-		}
-	}
-	return cells
 }
 
 // Digest returns a stable content hash of the plan in "sha256:<hex>"

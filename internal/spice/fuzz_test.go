@@ -24,22 +24,26 @@ func FuzzDenseVsCG(f *testing.F) {
 		cols := 1 + int(splitmix64(&state)%10) // 1..10
 		nVars := 1 + int(splitmix64(&state)%4) // 1..4
 
-		d := xbar.NewDesign(rows, cols)
+		var cells []xbar.Cell
 		for r := 0; r < rows; r++ {
 			for c := 0; c < cols; c++ {
 				switch splitmix64(&state) % 4 {
 				case 0:
-					d.Cells[r][c] = xbar.Entry{Kind: xbar.On}
+					cells = append(cells, xbar.Cell{Row: r, Col: c, Entry: xbar.Entry{Kind: xbar.On}})
 				case 1:
-					d.Cells[r][c] = xbar.Entry{
+					cells = append(cells, xbar.Cell{Row: r, Col: c, Entry: xbar.Entry{
 						Kind: xbar.Lit,
 						Var:  int32(splitmix64(&state) % uint64(nVars)),
 						Neg:  splitmix64(&state)%2 == 0,
-					}
+					}})
 				default:
 					// Off twice as likely: sparse arrays are the common case.
 				}
 			}
+		}
+		d, err := xbar.NewDesign(rows, cols, cells)
+		if err != nil {
+			t.Fatal(err)
 		}
 		d.InputRow = int(splitmix64(&state) % uint64(rows))
 		out := int(splitmix64(&state) % uint64(rows))

@@ -328,29 +328,25 @@ func blameTrial(na *nodal, vecs [][]bool, onVec, offVec int, blame map[[2]int]in
 		}
 		in := vecs[vec]
 		uf := newUnionFind(d.Rows + d.Cols)
-		for r, row := range d.Cells {
-			for c, e := range row {
-				if e.Conducts(in) {
-					uf.union(r, d.Rows+c)
-				}
+		for _, c := range d.Cells() {
+			if c.Conducts(in) {
+				uf.union(c.Row, d.Rows+c.Col)
 			}
 		}
 		driven := uf.find(d.InputRow)
-		for r, row := range d.Cells {
-			for c, e := range row {
-				on := e.Conducts(in)
-				if on != conducting {
-					continue
-				}
-				if on {
-					if uf.find(r) == driven {
-						blame[[2]int{r, c}]++
-					}
-				} else if uf.find(r) == driven || uf.find(d.Rows+c) == driven {
+		eachCrossing(d, func(r, c int, e xbar.Entry) {
+			on := e.Conducts(in)
+			if on != conducting {
+				return
+			}
+			if on {
+				if uf.find(r) == driven {
 					blame[[2]int{r, c}]++
 				}
+			} else if uf.find(r) == driven || uf.find(d.Rows+c) == driven {
+				blame[[2]int{r, c}]++
 			}
-		}
+		})
 	}
 	charge(onVec, true)
 	charge(offVec, false)

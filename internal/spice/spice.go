@@ -337,31 +337,27 @@ func (na *nodal) system(assignment []bool, res *ResistanceMap) ([][]float64, []f
 	}
 	b := make([]float64, n)
 
-	for r, row := range d.Cells {
-		pr := na.rowPhys[r]
-		for c, e := range row {
-			pc := na.colPhys[c]
-			on := e.Conducts(assignment)
-			if na.override != nil {
-				switch na.override[r*d.Cols+c] {
-				case 1:
-					on = true
-				case -1:
-					on = false
-				}
+	eachCrossing(d, func(r, c int, e xbar.Entry) {
+		on := e.Conducts(assignment)
+		if na.override != nil {
+			switch na.override[r*d.Cols+c] {
+			case 1:
+				on = true
+			case -1:
+				on = false
 			}
-			gOn, gOff := na.conductances(pr, pc, res)
-			gc := gOff
-			if on {
-				gc = gOn
-			}
-			i, j := r, d.Rows+c
-			g[i][i] += gc
-			g[j][j] += gc
-			g[i][j] -= gc
-			g[j][i] -= gc
 		}
-	}
+		gOn, gOff := na.conductances(na.rowPhys[r], na.colPhys[c], res)
+		gc := gOff
+		if on {
+			gc = gOn
+		}
+		i, j := r, d.Rows+c
+		g[i][i] += gc
+		g[j][j] += gc
+		g[i][j] -= gc
+		g[j][i] -= gc
+	})
 	for _, br := range na.bridges {
 		gOn, _ := na.conductances(br.pr, br.pc, res)
 		g[br.a][br.a] += gOn
@@ -636,4 +632,21 @@ func MarginContext(ctx context.Context, d *xbar.Design, ref func([]bool) []bool,
 	}
 	rep.Separable = rep.MinOn > rep.MaxOff
 	return rep, nil
+}
+
+// eachCrossing calls fn for every crossing of d in row-major order, Off
+// ones included: nodal analysis models every device, and an Off device
+// still conducts through R_off. The design's programmed cells are read in
+// step with the walk.
+func eachCrossing(d *xbar.Design, fn func(r, c int, e xbar.Entry)) {
+	cells := d.Cells()
+	for r := 0; r < d.Rows; r++ {
+		for c := 0; c < d.Cols; c++ {
+			var e xbar.Entry // Off unless programmed
+			if len(cells) > 0 && cells[0].Row == r && cells[0].Col == c {
+				e, cells = cells[0].Entry, cells[1:]
+			}
+			fn(r, c, e)
+		}
+	}
 }

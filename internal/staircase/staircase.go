@@ -110,7 +110,26 @@ func Map(bg *xbar.BDDGraph) (*xbar.Design, error) {
 		nextCol = 1
 	}
 
-	d := xbar.NewDesign(nextRow, nextCol)
+	// Stitch every node that owns both a wordline and a bitline; each
+	// directed edge parent->child maps to (row(parent), col(child)).
+	// NewDesign rejects a crossing assigned twice.
+	cells := make([]xbar.Cell, 0, n+len(edges))
+	for v := 0; v < n; v++ {
+		if colOf[v] >= 0 {
+			cells = append(cells, xbar.Cell{Row: rowOf[v], Col: colOf[v], Entry: xbar.Entry{Kind: xbar.On}})
+		}
+	}
+	for _, e := range edges {
+		c := colOf[e.child]
+		if c < 0 {
+			return nil, fmt.Errorf("staircase: child %d has no bitline", e.child)
+		}
+		cells = append(cells, xbar.Cell{Row: rowOf[e.parent], Col: c, Entry: bg.EdgeLit[edgeKey(e.parent, e.child)]})
+	}
+	d, err := xbar.NewDesign(nextRow, nextCol, cells)
+	if err != nil {
+		return nil, fmt.Errorf("staircase: %w", err)
+	}
 	d.VarNames = bg.VarNames
 	d.InputRow = rowOf[bg.TerminalID]
 	for _, r := range bg.Roots {
@@ -123,23 +142,6 @@ func Map(bg *xbar.BDDGraph) (*xbar.Design, error) {
 		default:
 			d.OutputRows = append(d.OutputRows, rowOf[r.NodeID])
 		}
-	}
-	// Stitch every node that owns both a wordline and a bitline.
-	for v := 0; v < n; v++ {
-		if colOf[v] >= 0 {
-			d.Cells[rowOf[v]][colOf[v]] = xbar.Entry{Kind: xbar.On}
-		}
-	}
-	// Each directed edge parent->child maps to (row(parent), col(child)).
-	for _, e := range edges {
-		r, c := rowOf[e.parent], colOf[e.child]
-		if c < 0 {
-			return nil, fmt.Errorf("staircase: child %d has no bitline", e.child)
-		}
-		if d.Cells[r][c].Kind != xbar.Off {
-			return nil, fmt.Errorf("staircase: cell (%d,%d) assigned twice", r, c)
-		}
-		d.Cells[r][c] = bg.EdgeLit[edgeKey(e.parent, e.child)]
 	}
 	return d, nil
 }

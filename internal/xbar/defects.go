@@ -79,32 +79,30 @@ func (d *Design) UnderDefects(dm *defect.Map, pl *Placement) (*Design, error) {
 	if err != nil {
 		return nil, err
 	}
-	nd := NewDesign(d.Rows, d.Cols)
-	for r := range d.Cells {
-		copy(nd.Cells[r], d.Cells[r])
-	}
-	nd.InputRow = d.InputRow
-	nd.OutputRows = append([]int(nil), d.OutputRows...)
-	nd.OutputNames = append([]string(nil), d.OutputNames...)
-	nd.VarNames = append([]string(nil), d.VarNames...)
 	if dm.Len() == 0 {
-		return nd, nil
+		return d.withCells(d.cells)
+	}
+	// Stuck-ON turns a programmed cell On, stuck-OFF removes it; a stuck-ON
+	// device on an unprogrammed crossing adds an On cell.
+	cells := make([]Cell, 0, len(d.cells))
+	for _, c := range d.cells {
+		k, stuck := dm.At(rowPerm[c.Row], colPerm[c.Col])
+		switch {
+		case !stuck:
+			cells = append(cells, c)
+		case k == defect.StuckOn:
+			cells = append(cells, Cell{Row: c.Row, Col: c.Col, Entry: Entry{Kind: On}})
+		}
 	}
 	invRow := inversePerm(rowPerm, dm.Rows())
 	invCol := inversePerm(colPerm, dm.Cols())
 	for _, fc := range dm.Cells() {
 		r, c := invRow[fc.Row], invCol[fc.Col]
-		if r < 0 || c < 0 {
-			continue // crossing on an unused (disconnected) physical line
-		}
-		switch fc.Kind {
-		case defect.StuckOn:
-			nd.Cells[r][c] = Entry{Kind: On}
-		case defect.StuckOff:
-			nd.Cells[r][c] = Entry{Kind: Off}
+		if fc.Kind == defect.StuckOn && r >= 0 && c >= 0 && d.At(r, c).Kind == Off {
+			cells = append(cells, Cell{Row: r, Col: c, Entry: Entry{Kind: On}})
 		}
 	}
-	return nd, nil
+	return d.withCells(cells)
 }
 
 // inversePerm maps physical line -> logical line (-1 where unused).
@@ -153,17 +151,17 @@ func (d *Design) ProgramDefects(assignment []bool, dm *defect.Map, pl *Placement
 	for r := range p.RowPatterns {
 		p.RowPatterns[r] = make([]bool, d.Cols)
 	}
-	for _, sc := range eff.sparseCells() {
-		on := sc.e.Conducts(assignment)
-		p.RowPatterns[sc.row][sc.col] = on
-		if _, stuck := dm.At(rowPerm[sc.row], colPerm[sc.col]); stuck {
+	for _, c := range eff.cells {
+		on := c.Conducts(assignment)
+		p.RowPatterns[c.Row][c.Col] = on
+		if _, stuck := dm.At(rowPerm[c.Row], colPerm[c.Col]); stuck {
 			continue // stuck devices hold their state for free
 		}
 		if prev == nil {
 			if on {
 				p.Switched++
 			}
-		} else if prev.RowPatterns[sc.row][sc.col] != on {
+		} else if prev.RowPatterns[c.Row][c.Col] != on {
 			p.Switched++
 		}
 	}

@@ -3,18 +3,20 @@
 // graph to wordlines, bitlines and memristors, then evaluating the design
 // by sneak-path reachability.
 //
-// A Design is a matrix of memristor assignments. Each memristor is
-// programmed per evaluation to conduct iff its assigned literal is true
-// (Off cells never conduct, On cells always conduct). Applying Vin to the
-// input wordline, an output reads 1 iff a conducting path reaches its
-// output wordline — computed here with union-find over nanowires.
+// A Design lists the programmed memristors of a wordline x bitline grid;
+// every other crossing is Off. Each memristor is programmed per evaluation
+// to conduct iff its assigned literal is true (Off cells never conduct, On
+// cells always conduct). Applying Vin to the input wordline, an output
+// reads 1 iff a conducting path reaches its output wordline — computed
+// here with union-find over nanowires.
 package xbar
 
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strings"
-	"sync/atomic"
 
 	"compact/internal/errio"
 	"compact/internal/invariant"
@@ -30,9 +32,8 @@ const (
 	Lit                  // programmed from a Boolean literal
 )
 
-// Entry is one memristor assignment. The struct is kept at 8 bytes (a
-// crossbar design stores Rows x Cols of them, and the largest benchmark
-// produces ~70M cells).
+// Entry is one memristor assignment. It is 8 bytes; a Design stores one
+// per programmed crossing (see Cell), never one per crossing.
 type Entry struct {
 	Kind EntryKind
 	Neg  bool  // negated literal
@@ -60,13 +61,25 @@ func (e Entry) label(names []string) string {
 	}
 }
 
+// Cell is one programmed crossing: the device at wordline Row, bitline Col.
+type Cell struct {
+	Row, Col int
+	Entry
+}
+
 // Design is a complete crossbar representation of a Boolean function.
+//
+// A mapped design programs about one device per BDD edge, a vanishing
+// fraction of its Rows x Cols crossings (arbiter: 29,308 of 109.5M), so
+// only the programmed cells are stored: a row-major list plus CSR row
+// offsets. Every crossing not listed is Off. NewDesign is the only way to
+// set the cells; it validates them, so a Design's cells are always in
+// range, unique, On or Lit, and reference non-negative variables.
 type Design struct {
+	// Rows and Cols are the wordline and bitline counts; row 0 is the
+	// top-most wordline, row Rows-1 the bottom-most (the input wordline,
+	// per the paper's alignment convention).
 	Rows, Cols int
-	// Cells is indexed [row][col]; row 0 is the top-most wordline, row
-	// Rows-1 the bottom-most (the input wordline, per the paper's
-	// alignment convention).
-	Cells [][]Entry
 	// InputRow is the wordline driven with Vin.
 	InputRow int
 	// OutputRows holds one wordline per function output (entries may
@@ -76,84 +89,118 @@ type Design struct {
 	// VarNames names the literal variables (indexed by Entry.Var).
 	VarNames []string
 
-	// sparse caches the non-Off cells (plus the largest literal variable
-	// index) for fast repeated evaluation; it is built lazily on first Eval
-	// (published through an atomic pointer so concurrent first Evals are
-	// safe — they may build the index twice, but the result is identical),
-	// so Cells must not be mutated after the first Eval. UnmarshalJSON
-	// resets it when re-decoding in place.
-	sparse atomic.Pointer[sparseIndex]
+	// cells lists the programmed crossings in row-major order; row r's
+	// cells are cells[rowStart[r]:rowStart[r+1]]. Both are nil for a
+	// design without cells.
+	cells    []Cell
+	rowStart []int32
+	// nVars is one past the largest Lit variable index (0 without Lit cells).
+	nVars int
 }
 
-type sparseCell struct {
-	row, col int
-	e        Entry
-}
-
-// sparseIndex is the lazily-built evaluation index: the non-Off cells and
-// the largest Entry.Var among Lit cells (-1 when there are none), which is
-// what EvalChecked validates assignments against. err records the first
-// corrupted cell found while indexing — a Lit cell with a negative variable
-// index or a cell whose Kind is none of Off/On/Lit. Entry.Conducts treats
-// both as "never conducts", so without this check a corrupted in-memory
-// design would silently evaluate (and even verify, on lucky samples) as a
-// constant; the checked evaluators refuse to evaluate such designs at all.
-type sparseIndex struct {
-	cells  []sparseCell
-	maxVar int32
-	err    error
-}
-
-func (d *Design) sparseIdx() *sparseIndex {
-	if p := d.sparse.Load(); p != nil {
-		return p
+// NewDesign builds a rows x cols crossbar whose programmed crossings are
+// cells (in any order); every other crossing is Off. cells is neither
+// retained nor modified. Cells outside the grid, duplicate crossings, Off
+// or unknown kinds and negative variable indices are rejected.
+func NewDesign(rows, cols int, cells []Cell) (*Design, error) {
+	if rows < 0 || cols < 0 {
+		return nil, fmt.Errorf("xbar: negative design dimensions %dx%d", rows, cols)
 	}
-	idx := &sparseIndex{cells: []sparseCell{}, maxVar: -1}
-	for r, row := range d.Cells {
-		for c, e := range row {
-			if e.Kind != Off {
-				idx.cells = append(idx.cells, sparseCell{r, c, e})
+	if len(cells) > math.MaxInt32 {
+		return nil, fmt.Errorf("xbar: %d cells exceed the row-offset range", len(cells))
+	}
+	d := &Design{Rows: rows, Cols: cols}
+	if len(cells) == 0 {
+		return d, nil
+	}
+	for _, c := range cells {
+		if c.Row < 0 || c.Row >= rows || c.Col < 0 || c.Col >= cols {
+			return nil, fmt.Errorf("xbar: cell (%d,%d) outside %dx%d", c.Row, c.Col, rows, cols)
+		}
+		switch c.Kind {
+		case On:
+		case Lit:
+			if c.Var < 0 {
+				return nil, invariant.Violationf("xbar.cell-var",
+					"cell (%d,%d) references negative variable %d", c.Row, c.Col, c.Var)
 			}
-			if e.Kind > Lit && idx.err == nil {
-				idx.err = invariant.Violationf("xbar.cell-kind",
-					"cell (%d,%d) has unknown kind %d", r, c, e.Kind)
-			}
-			if e.Kind == Lit {
-				if e.Var < 0 && idx.err == nil {
-					idx.err = invariant.Violationf("xbar.cell-var",
-						"cell (%d,%d) references negative variable %d", r, c, e.Var)
-				}
-				if e.Var > idx.maxVar {
-					idx.maxVar = e.Var
-				}
+			d.nVars = max(d.nVars, int(c.Var)+1)
+		default:
+			return nil, invariant.Violationf("xbar.cell-kind",
+				"cell (%d,%d) has kind %d; only On and Lit cells are listed", c.Row, c.Col, c.Kind)
+		}
+	}
+	// Counting sort by row: rowStart[r] first counts row r's cells, then
+	// (as a prefix sum) marks the end of row r; placing the cells back to
+	// front walks it down to the start of row r.
+	d.rowStart = make([]int32, rows+1)
+	for _, c := range cells {
+		d.rowStart[c.Row]++
+	}
+	for r := 1; r <= rows; r++ {
+		d.rowStart[r] += d.rowStart[r-1]
+	}
+	d.cells = make([]Cell, len(cells))
+	for i := len(cells) - 1; i >= 0; i-- {
+		r := cells[i].Row
+		d.rowStart[r]--
+		d.cells[d.rowStart[r]] = cells[i]
+	}
+	for r := 0; r < rows; r++ {
+		row := d.row(r)
+		slices.SortFunc(row, func(a, b Cell) int { return a.Col - b.Col })
+		for i := 1; i < len(row); i++ {
+			if row[i].Col == row[i-1].Col {
+				return nil, fmt.Errorf("xbar: duplicate cell at (%d,%d)", r, row[i].Col)
 			}
 		}
 	}
-	d.sparse.Store(idx)
-	return idx
+	return d, nil
 }
 
-func (d *Design) sparseCells() []sparseCell { return d.sparseIdx().cells }
+// Cells returns the programmed crossings in row-major order. The slice is
+// the design's own storage and must not be modified.
+func (d *Design) Cells() []Cell { return d.cells }
+
+// At returns the entry at crossing (r, c): the programmed cell there, or
+// Off. Coordinates outside the grid read as Off.
+func (d *Design) At(r, c int) Entry {
+	if r < 0 || r >= d.Rows {
+		return Entry{}
+	}
+	row := d.row(r)
+	if i, ok := slices.BinarySearchFunc(row, c, func(x Cell, c int) int { return x.Col - c }); ok {
+		return row[i].Entry
+	}
+	return Entry{}
+}
+
+// row returns row r's programmed cells, ordered by column.
+func (d *Design) row(r int) []Cell {
+	if d.rowStart == nil {
+		return nil
+	}
+	return d.cells[d.rowStart[r]:d.rowStart[r+1]]
+}
 
 // NumVars returns the number of assignment entries the design requires:
 // enough to cover every literal cell and every named variable. Eval
 // assignments must be at least this long.
 func (d *Design) NumVars() int {
-	n := int(d.sparseIdx().maxVar) + 1
-	if len(d.VarNames) > n {
-		n = len(d.VarNames)
-	}
-	return n
+	return max(d.nVars, len(d.VarNames))
 }
 
-// NewDesign allocates an all-Off crossbar.
-func NewDesign(rows, cols int) *Design {
-	cells := make([][]Entry, rows)
-	backing := make([]Entry, rows*cols)
-	for r := range cells {
-		cells[r], backing = backing[:cols:cols], backing[cols:]
+// withCells returns a design with d's ports and names and the given cells.
+func (d *Design) withCells(cells []Cell) (*Design, error) {
+	nd, err := NewDesign(d.Rows, d.Cols, cells)
+	if err != nil {
+		return nil, err
 	}
-	return &Design{Rows: rows, Cols: cols, Cells: cells}
+	nd.InputRow = d.InputRow
+	nd.OutputRows = append([]int(nil), d.OutputRows...)
+	nd.OutputNames = append([]string(nil), d.OutputNames...)
+	nd.VarNames = append([]string(nil), d.VarNames...)
+	return nd, nil
 }
 
 // Stats summarizes hardware utilization and the paper's cost models.
@@ -181,14 +228,11 @@ func (d *Design) Stats() Stats {
 		st.D = d.Cols
 	}
 	st.Area = d.Rows * d.Cols
-	for _, row := range d.Cells {
-		for _, e := range row {
-			switch e.Kind {
-			case Lit:
-				st.LitCells++
-			case On:
-				st.OnCells++
-			}
+	for _, c := range d.cells {
+		if c.Kind == Lit {
+			st.LitCells++
+		} else {
+			st.OnCells++
 		}
 	}
 	st.Power = st.LitCells
@@ -199,16 +243,8 @@ func (d *Design) Stats() Stats {
 // Render writes a human-readable matrix view, as in the paper's Figure 2.
 func (d *Design) Render(w io.Writer) error {
 	width := 1
-	labels := make([][]string, d.Rows)
-	for r := range d.Cells {
-		labels[r] = make([]string, d.Cols)
-		for c, e := range d.Cells[r] {
-			s := e.label(d.VarNames)
-			labels[r][c] = s
-			if len(s) > width {
-				width = len(s)
-			}
-		}
+	for _, c := range d.cells {
+		width = max(width, len(c.label(d.VarNames)))
 	}
 	outOf := make(map[int][]string)
 	for i, r := range d.OutputRows {
@@ -221,7 +257,7 @@ func (d *Design) Render(w io.Writer) error {
 	ew := errio.NewWriter(w)
 	for r := 0; r < d.Rows; r++ {
 		for c := 0; c < d.Cols; c++ {
-			ew.Printf("%*s ", width, labels[r][c])
+			ew.Printf("%*s ", width, d.At(r, c).label(d.VarNames))
 		}
 		var marks []string
 		if r == d.InputRow {
@@ -241,9 +277,9 @@ func (d *Design) Render(w io.Writer) error {
 // Conducts reports whether cell e conducts under the assignment (indexed
 // by Entry.Var). A literal the assignment does not cover (including a
 // negative index) and an unknown Kind never conduct — the defensive
-// backstop for corrupted entries; EvalChecked and Eval64Checked report
-// both as a structured *invariant.Error (via the sparse-index validation)
-// instead of relying on it.
+// backstop for corrupted entries; NewDesign rejects both, and EvalChecked
+// reports a short assignment as a structured *invariant.Error instead of
+// relying on it.
 func (e Entry) Conducts(assignment []bool) bool {
 	switch e.Kind {
 	case On:
@@ -277,26 +313,10 @@ func (d *Design) Eval(assignment []bool) []bool {
 // up front: an assignment shorter than the largest literal index returns
 // an *invariant.Error instead of an index-out-of-range panic.
 func (d *Design) EvalChecked(assignment []bool) ([]bool, error) {
-	idx := d.sparseIdx()
-	if idx.err != nil {
-		return nil, idx.err
-	}
-	if int(idx.maxVar) >= len(assignment) {
-		return nil, invariant.Violationf("xbar.eval-assignment",
-			"assignment has %d entries but the design references variable %d", len(assignment), idx.maxVar)
-	}
-	if len(d.OutputRows) == 0 && d.Rows == 0 {
-		return []bool{}, nil // empty design: nothing to read, nothing to drive
-	}
-	if d.InputRow < 0 || d.InputRow >= d.Rows {
-		return nil, invariant.Violationf("xbar.eval-input-row",
-			"input row %d outside 0..%d", d.InputRow, d.Rows-1)
-	}
-	for i, r := range d.OutputRows {
-		if r < 0 || r >= d.Rows {
-			return nil, invariant.Violationf("xbar.eval-output-row",
-				"output row %d (#%d) outside 0..%d", r, i, d.Rows-1)
-		}
+	if empty, err := d.checkEval(len(assignment)); err != nil {
+		return nil, err
+	} else if empty {
+		return []bool{}, nil
 	}
 	parent := make([]int, d.Rows+d.Cols)
 	for i := range parent {
@@ -316,9 +336,9 @@ func (d *Design) EvalChecked(assignment []bool) ([]bool, error) {
 			parent[ra] = rb
 		}
 	}
-	for _, sc := range idx.cells {
-		if sc.e.Conducts(assignment) {
-			union(sc.row, d.Rows+sc.col)
+	for _, c := range d.cells {
+		if c.Conducts(assignment) {
+			union(c.Row, d.Rows+c.Col)
 		}
 	}
 	in := find(d.InputRow)
@@ -327,4 +347,28 @@ func (d *Design) EvalChecked(assignment []bool) ([]bool, error) {
 		out[i] = find(r) == in
 	}
 	return out, nil
+}
+
+// checkEval validates the evaluation preconditions shared by EvalChecked
+// and Eval64Checked for an assignment of nAssign variables. empty reports
+// a design with no rows and no outputs: nothing to read, nothing to drive.
+func (d *Design) checkEval(nAssign int) (empty bool, err error) {
+	if d.nVars > nAssign {
+		return false, invariant.Violationf("xbar.eval-assignment",
+			"assignment has %d entries but the design references variable %d", nAssign, d.nVars-1)
+	}
+	if len(d.OutputRows) == 0 && d.Rows == 0 {
+		return true, nil
+	}
+	if d.InputRow < 0 || d.InputRow >= d.Rows {
+		return false, invariant.Violationf("xbar.eval-input-row",
+			"input row %d outside 0..%d", d.InputRow, d.Rows-1)
+	}
+	for i, r := range d.OutputRows {
+		if r < 0 || r >= d.Rows {
+			return false, invariant.Violationf("xbar.eval-output-row",
+				"output row %d (#%d) outside 0..%d", r, i, d.Rows-1)
+		}
+	}
+	return false, nil
 }

@@ -1,10 +1,6 @@
 package xbar
 
-import (
-	"math/bits"
-
-	"compact/internal/invariant"
-)
+import "math/bits"
 
 // Word-parallel evaluation: 64 assignments per connectivity closure.
 //
@@ -22,8 +18,8 @@ import (
 // Conduct64 is Entry.Conducts over 64 assignments at once: bit b of the
 // result reports whether the cell conducts under assignment b of words.
 // Like Conducts it treats unknown kinds and out-of-range variables as
-// non-conducting; Eval64Checked rejects those via the sparse-index
-// validation before this is ever reached. Exported for the layered design
+// non-conducting; NewDesign rejects the first and Eval64Checked the
+// second before this is ever reached. Exported for the layered design
 // in internal/xbar3d, whose sneak-path closure shares the cell semantics.
 func (e Entry) Conduct64(words []uint64) uint64 {
 	switch e.Kind {
@@ -57,31 +53,14 @@ func (d *Design) Eval64(words []uint64) []uint64 {
 	return out
 }
 
-// Eval64Checked is Eval64 with the preconditions checked: corrupted cells
-// (negative Var, unknown Kind), short assignment words and out-of-range
-// input/output rows return an *invariant.Error instead of silently
-// mis-evaluating.
+// Eval64Checked is Eval64 with the preconditions checked: short assignment
+// words and out-of-range input/output rows return an *invariant.Error
+// instead of silently mis-evaluating.
 func (d *Design) Eval64Checked(words []uint64) ([]uint64, error) {
-	idx := d.sparseIdx()
-	if idx.err != nil {
-		return nil, idx.err
-	}
-	if int(idx.maxVar) >= len(words) {
-		return nil, invariant.Violationf("xbar.eval-assignment",
-			"assignment has %d entries but the design references variable %d", len(words), idx.maxVar)
-	}
-	if len(d.OutputRows) == 0 && d.Rows == 0 {
-		return []uint64{}, nil // empty design: nothing to read, nothing to drive
-	}
-	if d.InputRow < 0 || d.InputRow >= d.Rows {
-		return nil, invariant.Violationf("xbar.eval-input-row",
-			"input row %d outside 0..%d", d.InputRow, d.Rows-1)
-	}
-	for i, r := range d.OutputRows {
-		if r < 0 || r >= d.Rows {
-			return nil, invariant.Violationf("xbar.eval-output-row",
-				"output row %d (#%d) outside 0..%d", r, i, d.Rows-1)
-		}
+	if empty, err := d.checkEval(len(words)); err != nil {
+		return nil, err
+	} else if empty {
+		return []uint64{}, nil
 	}
 	// Per-cell conduction masks, then the reachability fixpoint. A forward
 	// sweep alone needs one pass per hop of the longest sneak path running
@@ -89,20 +68,21 @@ func (d *Design) Eval64Checked(words []uint64) ([]uint64, error) {
 	// pass count on zig-zag paths. Termination: each sweep either sets at
 	// least one new bit in reach (bounded by 64·(Rows+Cols)) or proves the
 	// fixpoint.
-	masks := make([]uint64, len(idx.cells))
-	for i, sc := range idx.cells {
-		masks[i] = sc.e.Conduct64(words)
+	cells := d.cells
+	masks := make([]uint64, len(cells))
+	for i, c := range cells {
+		masks[i] = c.Conduct64(words)
 	}
 	reach := make([]uint64, d.Rows+d.Cols)
 	reach[d.InputRow] = ^uint64(0)
 	for {
 		changed := false
-		for i, sc := range idx.cells {
+		for i, cell := range cells {
 			m := masks[i]
 			if m == 0 {
 				continue
 			}
-			r, c := sc.row, d.Rows+sc.col
+			r, c := cell.Row, d.Rows+cell.Col
 			u := (reach[r] | reach[c]) & m
 			if u&^reach[r] != 0 {
 				reach[r] |= u
@@ -117,13 +97,12 @@ func (d *Design) Eval64Checked(words []uint64) ([]uint64, error) {
 			break
 		}
 		changed = false
-		for i := len(idx.cells) - 1; i >= 0; i-- {
+		for i := len(cells) - 1; i >= 0; i-- {
 			m := masks[i]
 			if m == 0 {
 				continue
 			}
-			sc := idx.cells[i]
-			r, c := sc.row, d.Rows+sc.col
+			r, c := cells[i].Row, d.Rows+cells[i].Col
 			u := (reach[r] | reach[c]) & m
 			if u&^reach[r] != 0 {
 				reach[r] |= u

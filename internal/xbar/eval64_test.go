@@ -2,23 +2,27 @@ package xbar
 
 import (
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"testing"
+
+	"compact/internal/invariant"
 )
 
 // randomDesign builds an in-memory design with a mix of Off/On/Lit cells.
 func randomDesign(rng *rand.Rand, rows, cols, nVars int) *Design {
-	d := NewDesign(rows, cols)
+	var cells []Cell
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			switch rng.Intn(6) {
 			case 0:
-				d.Cells[r][c] = Entry{Kind: On}
+				cells = append(cells, Cell{Row: r, Col: c, Entry: Entry{Kind: On}})
 			case 1, 2:
-				d.Cells[r][c] = Entry{Kind: Lit, Var: int32(rng.Intn(nVars)), Neg: rng.Intn(2) == 0}
+				cells = append(cells, Cell{Row: r, Col: c, Entry: Entry{Kind: Lit, Var: int32(rng.Intn(nVars)), Neg: rng.Intn(2) == 0}})
 			}
 		}
 	}
+	d := mustDesign(rows, cols, cells...)
 	d.InputRow = rng.Intn(rows)
 	nOut := 1 + rng.Intn(3)
 	for i := 0; i < nOut; i++ {
@@ -208,7 +212,7 @@ func TestVerifyAgainst64MatchesScalarRef(t *testing.T) {
 func TestVerifyAgainstOverflowClamp(t *testing.T) {
 	// Two disconnected rows: output row 0 never reaches input row 1, so the
 	// design computes constant false; the reference says constant true.
-	d := NewDesign(2, 1)
+	d := mustDesign(2, 1)
 	d.InputRow = 1
 	d.OutputRows = []int{0}
 	ref := func(in []bool) []bool { return []bool{true} }
@@ -226,31 +230,23 @@ func TestVerifyAgainstOverflowClamp(t *testing.T) {
 
 // TestCorruptedCellsFailLoudly is the regression for Conducts silently
 // treating corrupted entries as non-conducting: a Lit cell with a negative
-// variable index or an unknown Kind must make the checked evaluators
-// return an *invariant.Error, and VerifyAgainst must report a witness
-// rather than verifying the design.
+// variable index or an unknown Kind would evaluate (and even verify, on
+// lucky samples) as a constant, so NewDesign must refuse to build such a
+// design at all, with an *invariant.Error.
 func TestCorruptedCellsFailLoudly(t *testing.T) {
-	mk := func(e Entry) *Design {
-		d := NewDesign(2, 1)
-		d.InputRow = 1
-		d.OutputRows = []int{0}
-		d.Cells[0][0] = e
-		return d
-	}
 	for name, e := range map[string]Entry{
 		"negative-var": {Kind: Lit, Var: -3},
 		"unknown-kind": {Kind: EntryKind(7)},
+		"off":          {Kind: Off},
 	} {
-		d := mk(e)
-		if _, err := d.EvalChecked([]bool{true}); err == nil {
-			t.Errorf("%s: EvalChecked accepted a corrupted design", name)
+		d, err := NewDesign(2, 1, []Cell{{Row: 0, Col: 0, Entry: e}, {Row: 1, Col: 0, Entry: Entry{Kind: On}}})
+		if err == nil {
+			t.Errorf("%s: NewDesign accepted a corrupted cell: %v", name, d.Cells())
+			continue
 		}
-		if _, err := d.Eval64Checked([]uint64{0}); err == nil {
-			t.Errorf("%s: Eval64Checked accepted a corrupted design", name)
-		}
-		ref := func(in []bool) []bool { return []bool{false} }
-		if bad := d.VerifyAgainst(ref, 1, 4, 0, 1); bad == nil {
-			t.Errorf("%s: VerifyAgainst verified a corrupted design", name)
+		var ie *invariant.Error
+		if !errors.As(err, &ie) {
+			t.Errorf("%s: error %v is not an *invariant.Error", name, err)
 		}
 	}
 }

@@ -9,20 +9,21 @@ import (
 // reaches the output wordline iff both literals conduct through the shared
 // bitline chain.
 func andDesign() *Design {
-	d := NewDesign(3, 2)
-	d.Cells[2][0] = Entry{Kind: Lit, Var: 0} // input row -> bitline 0 via a
-	d.Cells[1][0] = Entry{Kind: Lit, Var: 1} // bitline 0 -> middle row via b
-	d.Cells[1][1] = Entry{Kind: On}          // middle row -> bitline 1
-	d.Cells[0][1] = Entry{Kind: On}          // bitline 1 -> output row
+	d := mustDesign(3, 2,
+		Cell{Row: 2, Col: 0, Entry: Entry{Kind: Lit, Var: 0}}, // input row -> bitline 0 via a
+		Cell{Row: 1, Col: 0, Entry: Entry{Kind: Lit, Var: 1}}, // bitline 0 -> middle row via b
+		Cell{Row: 1, Col: 1, Entry: Entry{Kind: On}},          // middle row -> bitline 1
+		Cell{Row: 0, Col: 1, Entry: Entry{Kind: On}},          // bitline 1 -> output row
+	)
 	d.InputRow = 2
 	d.OutputRows = []int{0}
 	return d
 }
 
 // TestEvalConcurrentFirstCall races the very first Eval calls on a fresh
-// Design: the sparse-cell cache is built lazily on first use and must be
-// constructed exactly once even when several goroutines trigger it
-// simultaneously (sync.Once in sparseCells; run under -race).
+// Design: evaluation only reads the cell list NewDesign built, so
+// concurrent Evals must be race-free (run under -race) and leave the
+// design unchanged.
 func TestEvalConcurrentFirstCall(t *testing.T) {
 	d := andDesign()
 	var wg sync.WaitGroup
@@ -42,7 +43,7 @@ func TestEvalConcurrentFirstCall(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := len(d.sparseCells()); n != 4 {
-		t.Errorf("sparse cache has %d cells, want 4", n)
+	if n := len(d.Cells()); n != 4 {
+		t.Errorf("design has %d cells, want 4", n)
 	}
 }

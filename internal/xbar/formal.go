@@ -54,12 +54,11 @@ func SymbolicOutputs(d *Design, nodeLimit int) (m *bdd.Manager, outs []bdd.Node,
 		}
 		return bdd.Zero
 	}
-	cells := d.sparseCells()
 	for {
 		changed := false
-		for _, sc := range cells {
-			l := lit(sc.e)
-			r, c := sc.row, d.Rows+sc.col
+		for _, cell := range d.cells {
+			l := lit(cell.Entry)
+			r, c := cell.Row, d.Rows+cell.Col
 			if nr := m.Or(conn[r], m.And(l, conn[c])); nr != conn[r] {
 				conn[r] = nr
 				changed = true

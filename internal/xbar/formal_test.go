@@ -54,13 +54,12 @@ func TestFormalVerifyCatchesFaults(t *testing.T) {
 		nw := randomNetwork(rng, 5, 15)
 		d := synthRemapped(t, nw, labeling.MethodHeuristic)
 		for r := 0; r < d.Rows && injected < 60; r++ {
-			for c := 0; c < d.Cols; c++ {
-				if d.Cells[r][c].Kind != Lit {
+			for _, cell := range d.row(r) {
+				if cell.Kind != Lit {
 					continue
 				}
 				injected++
-				fresh := synthRemapped(t, nw, labeling.MethodHeuristic)
-				fresh.Cells[r][c].Neg = !fresh.Cells[r][c].Neg
+				fresh := flipCell(d, cell)
 				if err := FormalVerify(fresh, nw, 0); err != nil {
 					caught++
 				}
@@ -79,21 +78,17 @@ func TestFormalVerifyCatchesFaults(t *testing.T) {
 	// catches must be caught formally too.
 	nw := randomNetwork(rng, 5, 15)
 	d := synthRemapped(t, nw, labeling.MethodHeuristic)
-outer:
-	for r := 0; r < d.Rows; r++ {
-		for c := 0; c < d.Cols; c++ {
-			if d.Cells[r][c].Kind != Lit {
-				continue
-			}
-			d.Cells[r][c].Neg = !d.Cells[r][c].Neg
-			d.sparse.Store(nil)
-			sampledBad := d.VerifyAgainst(nw.Eval, 5, 10, 0, 1) != nil
-			formalErr := FormalVerify(d, nw, 0)
-			if sampledBad && formalErr == nil {
-				t.Errorf("sampling caught a fault formal verification missed")
-			}
-			break outer
+	for _, cell := range d.Cells() {
+		if cell.Kind != Lit {
+			continue
 		}
+		d = flipCell(d, cell)
+		sampledBad := d.VerifyAgainst(nw.Eval, 5, 10, 0, 1) != nil
+		formalErr := FormalVerify(d, nw, 0)
+		if sampledBad && formalErr == nil {
+			t.Errorf("sampling caught a fault formal verification missed")
+		}
+		break
 	}
 }
 
@@ -102,17 +97,13 @@ func TestFormalVerifyWitnessIsReal(t *testing.T) {
 	// distinguishes design from network.
 	nw := fig2Network()
 	d := synthRemapped(t, nw, labeling.MethodMIP)
-	for r := 0; r < d.Rows; r++ {
-		for c := 0; c < d.Cols; c++ {
-			if d.Cells[r][c].Kind == Lit {
-				d.Cells[r][c].Neg = !d.Cells[r][c].Neg
-				d.sparse.Store(nil)
-				err := FormalVerify(d, nw, 0)
-				if err == nil {
-					t.Skip("flip was logically masked")
-				}
-				return
+	for _, cell := range d.Cells() {
+		if cell.Kind == Lit {
+			err := FormalVerify(flipCell(d, cell), nw, 0)
+			if err == nil {
+				t.Skip("flip was logically masked")
 			}
+			return
 		}
 	}
 }

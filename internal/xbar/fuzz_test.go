@@ -22,6 +22,9 @@ func FuzzDesignJSON(f *testing.F) {
 		// Accepted by the decoder: no var_names, so the large literal index
 		// is unchecked at decode time — Eval must still be safe.
 		`{"v":1,"rows":1,"cols":1,"input_row":0,"output_rows":[0],"cells":[{"r":0,"c":0,"k":"lit","var":1000}]}`,
+		// Accepted: a huge declared extent with no cells must decode
+		// without allocating the grid.
+		`{"v":1,"rows":65536,"cols":32768,"input_row":0,"output_rows":[]}`,
 		// Rejected inputs: bad version, bad coordinates, duplicate cell,
 		// unknown kind, out-of-range references.
 		`{"v":2,"rows":1,"cols":1}`,
@@ -54,10 +57,8 @@ func FuzzDesignJSON(f *testing.F) {
 		// also counts named-but-unreferenced variables, which EvalChecked
 		// does not require the assignment to cover — hence the Lit scan.)
 		hasLit := false
-		for _, row := range d.Cells {
-			for _, e := range row {
-				hasLit = hasLit || e.Kind == Lit
-			}
+		for _, c := range d.Cells() {
+			hasLit = hasLit || c.Kind == Lit
 		}
 		if hasLit {
 			if _, err := d.EvalChecked(nil); err == nil {

@@ -8,17 +8,18 @@ import (
 
 // fig2Design builds a small hand-made design exercising every cell kind.
 func fig2Design() *Design {
-	d := NewDesign(4, 3)
+	d := mustDesign(4, 3,
+		Cell{Row: 0, Col: 0, Entry: Entry{Kind: Lit, Var: 0}},
+		Cell{Row: 1, Col: 0, Entry: Entry{Kind: On}},
+		Cell{Row: 1, Col: 1, Entry: Entry{Kind: Lit, Var: 1, Neg: true}},
+		Cell{Row: 2, Col: 1, Entry: Entry{Kind: Lit, Var: 2}},
+		Cell{Row: 3, Col: 2, Entry: Entry{Kind: Lit, Var: 0, Neg: true}},
+		Cell{Row: 0, Col: 2, Entry: Entry{Kind: On}},
+	)
 	d.InputRow = 3
 	d.OutputRows = []int{0}
 	d.OutputNames = []string{"f"}
 	d.VarNames = []string{"a", "b", "c"}
-	d.Cells[0][0] = Entry{Kind: Lit, Var: 0}
-	d.Cells[1][0] = Entry{Kind: On}
-	d.Cells[1][1] = Entry{Kind: Lit, Var: 1, Neg: true}
-	d.Cells[2][1] = Entry{Kind: Lit, Var: 2}
-	d.Cells[3][2] = Entry{Kind: Lit, Var: 0, Neg: true}
-	d.Cells[0][2] = Entry{Kind: On}
 	return d
 }
 
@@ -58,9 +59,8 @@ func TestDesignJSONRoundTripEvalParity(t *testing.T) {
 }
 
 func TestDesignJSONSparse(t *testing.T) {
-	d := NewDesign(50, 50)
+	d := mustDesign(50, 50, Cell{Row: 7, Col: 9, Entry: Entry{Kind: On}})
 	d.OutputRows = []int{0}
-	d.Cells[7][9] = Entry{Kind: On}
 	data, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestDesignJSONSparse(t *testing.T) {
 	if err := json.Unmarshal(data, &dec); err != nil {
 		t.Fatal(err)
 	}
-	if dec.Cells[7][9].Kind != On {
+	if dec.At(7, 9).Kind != On || len(dec.Cells()) != 1 {
 		t.Fatal("programmed cell lost in round trip")
 	}
 }
@@ -119,13 +119,13 @@ func TestDesignJSONReuseResetsSparseCache(t *testing.T) {
 	if got := d.Eval(nil); !got[0] {
 		t.Fatal("decoded design should conduct input->output")
 	}
-	// Re-decode an empty design into the same value: the cached sparse
-	// cells from the first decode must not leak through.
+	// Re-decode an empty design into the same value: the cells from the
+	// first decode must not leak through.
 	two := `{"rows":2,"cols":2,"input_row":1,"output_rows":[0],"cells":[]}`
 	if err := json.Unmarshal([]byte(two), &d); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Eval(nil); got[0] {
-		t.Fatal("stale sparse cache survived re-decode")
+		t.Fatal("stale cells survived re-decode")
 	}
 }

@@ -80,7 +80,28 @@ func Map(bg *BDDGraph, labels []labeling.Label) (*Design, error) {
 		nextCol = 1
 	}
 
-	d := NewDesign(nextRow, nextCol)
+	// VH stitches, then one memristor per edge. NewDesign rejects a
+	// crossing assigned twice.
+	cells := make([]Cell, 0, bg.G.M()+n)
+	for v := 0; v < n; v++ {
+		if labels[v] == labeling.VH {
+			cells = append(cells, Cell{Row: rowOf[v], Col: colOf[v], Entry: Entry{Kind: On}})
+		}
+	}
+	for _, e := range bg.G.Edges() {
+		u, v := e[0], e[1]
+		c := Cell{Entry: bg.EdgeLit[edgeKey(u, v)]}
+		if labels[u].HasH() && labels[v].HasV() {
+			c.Row, c.Col = rowOf[u], colOf[v]
+		} else {
+			c.Row, c.Col = rowOf[v], colOf[u]
+		}
+		cells = append(cells, c)
+	}
+	d, err := NewDesign(nextRow, nextCol, cells)
+	if err != nil {
+		return nil, err
+	}
 	d.VarNames = bg.VarNames
 	d.InputRow = rowOf[bg.TerminalID]
 	for _, r := range bg.Roots {
@@ -93,28 +114,6 @@ func Map(bg *BDDGraph, labels []labeling.Label) (*Design, error) {
 		default:
 			d.OutputRows = append(d.OutputRows, rowOf[r.NodeID])
 		}
-	}
-
-	// VH stitches.
-	for v := 0; v < n; v++ {
-		if labels[v] == labeling.VH {
-			d.Cells[rowOf[v]][colOf[v]] = Entry{Kind: On}
-		}
-	}
-	// Edge assignment.
-	for _, e := range bg.G.Edges() {
-		u, v := e[0], e[1]
-		lit := bg.EdgeLit[edgeKey(u, v)]
-		var r, c int
-		if labels[u].HasH() && labels[v].HasV() {
-			r, c = rowOf[u], colOf[v]
-		} else {
-			r, c = rowOf[v], colOf[u]
-		}
-		if d.Cells[r][c].Kind != Off {
-			return nil, fmt.Errorf("xbar: cell (%d,%d) assigned twice", r, c)
-		}
-		d.Cells[r][c] = lit
 	}
 	// Postconditions: the grid is exactly the one the labeling implies,
 	// and every device (one per edge, one stitch per VH node) landed on
@@ -140,15 +139,7 @@ func Map(bg *BDDGraph, labels []labeling.Label) (*Design, error) {
 	if err := invariant.GridDims(d.Rows, d.Cols, wantRows, wantCols); err != nil {
 		return nil, fmt.Errorf("xbar: %w", err)
 	}
-	programmed := 0
-	for _, row := range d.Cells {
-		for _, e := range row {
-			if e.Kind != Off {
-				programmed++
-			}
-		}
-	}
-	if err := invariant.ProgrammedCells(programmed, bg.G.M(), vh); err != nil {
+	if err := invariant.ProgrammedCells(len(d.cells), bg.G.M(), vh); err != nil {
 		return nil, fmt.Errorf("xbar: %w", err)
 	}
 	return d, nil

@@ -2,6 +2,7 @@ package xbar
 
 import (
 	"fmt"
+	"math"
 
 	"compact/internal/bdd"
 	"compact/internal/graph"
@@ -9,21 +10,29 @@ import (
 
 // RemapVars rewrites every literal cell's variable index through remap and
 // replaces the design's variable names, converting e.g. BDD-level indexing
-// into network-input indexing. remap must cover every Var in use.
+// into network-input indexing. remap must cover every Var in use and map
+// it to a non-negative index; otherwise the design is left unchanged.
 func (d *Design) RemapVars(remap []int, names []string) error {
-	for r, row := range d.Cells {
-		for c, e := range row {
-			if e.Kind != Lit {
-				continue
-			}
-			if e.Var < 0 || int(e.Var) >= len(remap) {
-				return fmt.Errorf("xbar: cell (%d,%d) variable %d outside remap", r, c, e.Var)
-			}
-			d.Cells[r][c].Var = int32(remap[e.Var])
+	for _, c := range d.cells {
+		if c.Kind != Lit {
+			continue
+		}
+		if c.Var < 0 || int(c.Var) >= len(remap) {
+			return fmt.Errorf("xbar: cell (%d,%d) variable %d outside remap", c.Row, c.Col, c.Var)
+		}
+		if v := remap[c.Var]; v < 0 || v > math.MaxInt32 {
+			return fmt.Errorf("xbar: cell (%d,%d) variable %d remaps to %d", c.Row, c.Col, c.Var, v)
+		}
+	}
+	d.nVars = 0
+	for i, c := range d.cells {
+		if c.Kind == Lit {
+			v := remap[c.Var]
+			d.cells[i].Var = int32(v)
+			d.nVars = max(d.nVars, v+1)
 		}
 	}
 	d.VarNames = names
-	d.sparse.Store(nil) // invalidate the cached cell list
 	return nil
 }
 

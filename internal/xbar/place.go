@@ -158,7 +158,7 @@ func newPlacer(d *Design, dm *defect.Map) *placer {
 // the logical column (or -1 = unused) each physical column carries.
 func (p *placer) rowOK(r, pr int, invCol []int) bool {
 	for _, fc := range p.byRow[pr] {
-		if c := invCol[fc.Col]; c >= 0 && !compatCell(p.d.Cells[r][c], fc.Kind) {
+		if c := invCol[fc.Col]; c >= 0 && !compatCell(p.d.At(r, c), fc.Kind) {
 			return false
 		}
 	}
@@ -168,7 +168,7 @@ func (p *placer) rowOK(r, pr int, invCol []int) bool {
 // colOK is the column-side dual of rowOK.
 func (p *placer) colOK(c, pc int, invRow []int) bool {
 	for _, fc := range p.byCol[pc] {
-		if r := invRow[fc.Row]; r >= 0 && !compatCell(p.d.Cells[r][c], fc.Kind) {
+		if r := invRow[fc.Row]; r >= 0 && !compatCell(p.d.At(r, c), fc.Kind) {
 			return false
 		}
 	}
@@ -184,7 +184,7 @@ func (p *placer) compatible(rowPerm, colPerm []int) bool {
 	invCol := inversePerm(colPerm, p.dm.Cols())
 	for _, fc := range p.dm.Cells() {
 		r, c := invRow[fc.Row], invCol[fc.Col]
-		if r >= 0 && c >= 0 && !compatCell(p.d.Cells[r][c], fc.Kind) {
+		if r >= 0 && c >= 0 && !compatCell(p.d.At(r, c), fc.Kind) {
 			return false
 		}
 	}
@@ -221,16 +221,14 @@ func (p *placer) witness(invCol []int) (row, candidates int) {
 func (p *placer) provenInfeasible() *Unplaceable {
 	type profile struct{ hasLit, hasOn, hasOff bool }
 	rows := make([]profile, p.d.Rows)
-	for r, row := range p.d.Cells {
-		for _, e := range row {
-			switch e.Kind {
-			case Lit:
-				rows[r].hasLit = true
-			case On:
-				rows[r].hasOn = true
-			default:
-				rows[r].hasOff = true
-			}
+	for r := range rows {
+		rows[r].hasOff = len(p.d.row(r)) < p.d.Cols
+	}
+	for _, c := range p.d.cells {
+		if c.Kind == Lit {
+			rows[c.Row].hasLit = true
+		} else {
+			rows[c.Row].hasOn = true
 		}
 	}
 	stuckOff := make([]int, p.dm.Rows())
@@ -496,7 +494,7 @@ func (p *placer) ilp(ctx context.Context, opts PlaceOptions, lastInvCol []int) (
 	for _, fc := range dm.Cells() {
 		for r := 0; r < d.Rows; r++ {
 			for c := 0; c < d.Cols; c++ {
-				if !compatCell(d.Cells[r][c], fc.Kind) {
+				if !compatCell(d.At(r, c), fc.Kind) {
 					nConflicts++
 				}
 			}
@@ -565,7 +563,7 @@ func (p *placer) ilp(ctx context.Context, opts PlaceOptions, lastInvCol []int) (
 	for _, fc := range dm.Cells() {
 		for r := 0; r < d.Rows; r++ {
 			for c := 0; c < d.Cols; c++ {
-				if compatCell(d.Cells[r][c], fc.Kind) {
+				if compatCell(d.At(r, c), fc.Kind) {
 					continue
 				}
 				mod.AddConstr(

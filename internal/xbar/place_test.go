@@ -80,11 +80,9 @@ func TestPlaceNilMapIsIdentity(t *testing.T) {
 // findLitCell returns the position of some literal cell.
 func findLitCell(t *testing.T, d *Design) (int, int) {
 	t.Helper()
-	for r := 0; r < d.Rows; r++ {
-		for c := 0; c < d.Cols; c++ {
-			if d.Cells[r][c].Kind == Lit {
-				return r, c
-			}
+	for _, c := range d.Cells() {
+		if c.Kind == Lit {
+			return c.Row, c.Col
 		}
 	}
 	t.Fatal("design has no literal cells")
@@ -198,7 +196,7 @@ func TestPlaceForcedILPSkipsIdentityShortcut(t *testing.T) {
 	var r, c = -1, -1
 	for i := 0; i < d.Rows && r < 0; i++ {
 		for j := 0; j < d.Cols; j++ {
-			if d.Cells[i][j].Kind == Off {
+			if d.At(i, j).Kind == Off {
 				r, c = i, j
 				break
 			}
@@ -249,12 +247,13 @@ func TestPlaceCanceledContext(t *testing.T) {
 }
 
 func TestUnderDefectsOverrides(t *testing.T) {
-	d := NewDesign(2, 2)
+	d := mustDesign(2, 2,
+		Cell{Row: 0, Col: 0, Entry: Entry{Kind: Lit, Var: 0}},
+		Cell{Row: 1, Col: 0, Entry: Entry{Kind: On}},
+	)
 	d.VarNames = []string{"a"}
 	d.InputRow = 1
 	d.OutputRows = []int{0}
-	d.Cells[0][0] = Entry{Kind: Lit, Var: 0}
-	d.Cells[1][0] = Entry{Kind: On}
 	dm, err := defect.New(2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -269,14 +268,14 @@ func TestUnderDefectsOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eff.Cells[0][0].Kind != Off {
-		t.Fatalf("stuck-OFF override: %v", eff.Cells[0][0])
+	if eff.At(0, 0).Kind != Off {
+		t.Fatalf("stuck-OFF override: %v", eff.At(0, 0))
 	}
-	if eff.Cells[0][1].Kind != On {
-		t.Fatalf("stuck-ON override: %v", eff.Cells[0][1])
+	if eff.At(0, 1).Kind != On {
+		t.Fatalf("stuck-ON override: %v", eff.At(0, 1))
 	}
 	// The original is untouched.
-	if d.Cells[0][0].Kind != Lit || d.Cells[0][1].Kind != Off {
+	if d.At(0, 0).Kind != Lit || d.At(0, 1).Kind != Off {
 		t.Fatal("UnderDefects mutated the receiver")
 	}
 	// f was a: now the literal path is gone but the stuck-ON at (0,1)

@@ -28,14 +28,14 @@ func (d *Design) Program(assignment []bool, prev *Programming) *Programming {
 	for r := range p.RowPatterns {
 		p.RowPatterns[r] = make([]bool, d.Cols)
 	}
-	for _, sc := range d.sparseCells() {
-		on := sc.e.Conducts(assignment)
-		p.RowPatterns[sc.row][sc.col] = on
+	for _, c := range d.cells {
+		on := c.Conducts(assignment)
+		p.RowPatterns[c.Row][c.Col] = on
 		if prev == nil {
 			if on {
 				p.Switched++
 			}
-		} else if prev.RowPatterns[sc.row][sc.col] != on {
+		} else if prev.RowPatterns[c.Row][c.Col] != on {
 			p.Switched++
 		}
 	}

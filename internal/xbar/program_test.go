@@ -41,11 +41,9 @@ func TestProgramSwitchingEnergy(t *testing.T) {
 	flipped := []bool{true, false, false}
 	p2 := d.Program(flipped, p0)
 	carrying := 0
-	for _, row := range d.Cells {
-		for _, e := range row {
-			if e.Kind == Lit && e.Var == 0 {
-				carrying++
-			}
+	for _, c := range d.Cells() {
+		if c.Kind == Lit && c.Var == 0 {
+			carrying++
 		}
 	}
 	if p2.Switched != carrying {
@@ -87,7 +85,7 @@ func TestProgramRandomSequence(t *testing.T) {
 		prev = p
 	}
 	// Incremental switching must never exceed full reprogramming cost.
-	if maxCost := 30 * len(d.sparseCells()); totalSwitched > maxCost {
+	if maxCost := 30 * len(d.Cells()); totalSwitched > maxCost {
 		t.Errorf("switched %d > bound %d", totalSwitched, maxCost)
 	}
 }

@@ -73,20 +73,13 @@ func TestFailureInjectionCaughtByVerify(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Flip the polarity of each literal cell in turn.
-		for r := 0; r < d.Rows; r++ {
-			for c := 0; c < d.Cols; c++ {
-				if d.Cells[r][c].Kind != Lit {
-					continue
-				}
-				injected++
-				fresh, err := Map(bg, sol.Labels) // clean copy
-				if err != nil {
-					t.Fatal(err)
-				}
-				fresh.Cells[r][c].Neg = !fresh.Cells[r][c].Neg
-				if bad := fresh.VerifyAgainst(nw.Eval, 5, 10, 0, 1); bad != nil {
-					caught++
-				}
+		for _, cell := range d.Cells() {
+			if cell.Kind != Lit {
+				continue
+			}
+			injected++
+			if bad := flipCell(d, cell).VerifyAgainst(nw.Eval, 5, 10, 0, 1); bad != nil {
+				caught++
 			}
 		}
 	}
@@ -125,16 +118,11 @@ func TestStuckOnFaultCaught(t *testing.T) {
 		}
 		for r := 0; r < d.Rows && injected < 200; r++ {
 			for c := 0; c < d.Cols; c++ {
-				if d.Cells[r][c].Kind != Off {
+				if d.At(r, c).Kind != Off {
 					continue
 				}
 				injected++
-				fresh, err := Map(bg, sol.Labels)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fresh.Cells[r][c] = Entry{Kind: On}
-				if bad := fresh.VerifyAgainst(nw.Eval, 5, 10, 0, 1); bad != nil {
+				if bad := setCell(d, r, c, Entry{Kind: On}).VerifyAgainst(nw.Eval, 5, 10, 0, 1); bad != nil {
 					caught++
 				}
 			}

@@ -45,26 +45,18 @@ func (d *Design) WriteSVG(w io.Writer) error {
 	}
 
 	// Devices.
-	for r, row := range d.Cells {
-		for c, e := range row {
-			var fill string
-			switch e.Kind {
-			case Off:
-				continue
-			case On:
-				fill = "#2e7d32" // green
-			case Lit:
-				if e.Neg {
-					fill = "#c62828" // red
-				} else {
-					fill = "#1565c0" // blue
-				}
+	for _, cell := range d.cells {
+		fill := "#2e7d32" // green: always on
+		if cell.Kind == Lit {
+			fill = "#1565c0" // blue
+			if cell.Neg {
+				fill = "#c62828" // red
 			}
-			ew.Printf(`<circle cx="%d" cy="%d" r="7" fill="%s"/>`+"\n", x(c), y(r), fill)
-			if e.Kind == Lit {
-				ew.Printf(`<text x="%d" y="%d" font-size="9" font-family="monospace" text-anchor="middle" fill="white">%s</text>`+"\n",
-					x(c), y(r)+3, svgEscape(shortLabel(e, d.VarNames)))
-			}
+		}
+		ew.Printf(`<circle cx="%d" cy="%d" r="7" fill="%s"/>`+"\n", x(cell.Col), y(cell.Row), fill)
+		if cell.Kind == Lit {
+			ew.Printf(`<text x="%d" y="%d" font-size="9" font-family="monospace" text-anchor="middle" fill="white">%s</text>`+"\n",
+				x(cell.Col), y(cell.Row)+3, svgEscape(shortLabel(cell.Entry, d.VarNames)))
 		}
 	}
 

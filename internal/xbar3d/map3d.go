@@ -203,8 +203,8 @@ func Lift3D(src *xbar.Design) (*Design3D, error) {
 	if err != nil {
 		return nil, err
 	}
-	for r, row := range src.Cells {
-		copy(d.Cells[0][r], row)
+	for _, c := range src.Cells() {
+		d.Cells[0][c.Row][c.Col] = c.Entry
 	}
 	d.Input = WireRef{Layer: 0, Index: src.InputRow}
 	for _, r := range src.OutputRows {
