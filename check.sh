@@ -14,7 +14,8 @@
 #                    parser front ends, the design wire decoder, the
 #                    layered (FLOW-3D) design wire decoder, the partition
 #                    plan decoder, the persistent store's on-disk entry
-#                    codec and the spice dense-vs-CG solver cross-check)
+#                    codec, the spice dense-vs-CG solver cross-check and
+#                    the ILP warm-vs-cold LP cross-check)
 #   7. perfbench   — the benchmark module's own tests (perfbench is a
 #                    separate Go module, so step 3 never reaches it): every
 #                    workload runs briefly, untraced and traced
@@ -83,6 +84,7 @@ if [ "$short" -eq 0 ]; then
     go test -fuzz=FuzzPlanJSON -fuzztime=5s -run='^$' ./internal/partition/
     go test -fuzz=FuzzStoreEntry -fuzztime=5s -run='^$' ./internal/store/
     go test -fuzz=FuzzDenseVsCG -fuzztime=5s -run='^$' ./internal/spice/
+    go test -fuzz=FuzzWarmStartLP -fuzztime=5s -run='^$' ./internal/ilp/
 
     echo "== perfbench tests =="
     go -C perfbench test ./...

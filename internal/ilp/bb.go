@@ -49,6 +49,9 @@ type bbNode struct {
 	bound float64 // LP bound inherited from the parent
 	depth int
 	seq   int
+	// warm is the parent's optimal basis, shared by both children (nil
+	// when the parent's LP came from the dense oracle).
+	warm *basisSnap
 }
 
 type nodeHeap []*bbNode
@@ -87,6 +90,7 @@ func (h *nodeHeap) Pop() interface{} {
 type bbSearch struct {
 	mod            *Model
 	opts           Options
+	shape          *lpShape // the lowering every warm node LP shares
 	rootLB, rootUB []float64
 	deadline       time.Time
 	ctx            context.Context
@@ -100,6 +104,7 @@ type bbSearch struct {
 	seq         int
 	nodes       int
 	iters       int
+	fallbacks   int
 	incumbent   float64
 	incumbentX  []float64
 	prunedFloor float64
@@ -158,6 +163,7 @@ func (s *bbSearch) finishLocked() {
 // worker runs the best-first loop until the search finishes. It returns
 // with s.mu released.
 func (s *bbSearch) worker(id int) {
+	var ws *rsLP // this worker's warm-start state over s.shape
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -218,11 +224,17 @@ func (s *bbSearch) worker(id int) {
 		s.inFlight[id] = node.bound
 		lbs, ubs := s.applyFixes(node.fixes)
 		s.mu.Unlock()
-		res, lpErr := solveLP(s.ctx, s.mod, lbs, ubs, s.deadline)
+		if ws == nil && node.warm != nil {
+			ws = newRsLP(s.shape)
+		}
+		res, lpErr := s.solveNode(ws, node, lbs, ubs, cutoff)
 		s.mu.Lock()
 		delete(s.inFlight, id)
 		s.cond.Broadcast()
 		s.iters += res.iters
+		if res.fallback {
+			s.fallbacks++
+		}
 		if lpErr != nil {
 			// Time limit or numerical trouble on one node: put it back so
 			// the reported global bound stays honest, then stop.
@@ -248,7 +260,7 @@ func (s *bbSearch) worker(id int) {
 				cutoff = b
 			}
 		}
-		if obj >= cutoff-1e-9 {
+		if res.cutoff || obj >= cutoff-1e-9 {
 			if obj < s.incumbent-1e-9 && obj < s.prunedFloor {
 				s.prunedFloor = obj
 			}
@@ -282,11 +294,34 @@ func (s *bbSearch) worker(id int) {
 		up := append(append([]boundFix(nil), node.fixes...),
 			boundFix{v: branchVar, isUB: false, val: math.Ceil(res.x[branchVar])})
 		s.seq++
-		heap.Push(&s.h, &bbNode{fixes: down, bound: obj, depth: node.depth + 1, seq: s.seq})
+		heap.Push(&s.h, &bbNode{fixes: down, bound: obj, depth: node.depth + 1, seq: s.seq, warm: res.basis})
 		s.seq++
-		heap.Push(&s.h, &bbNode{fixes: up, bound: obj, depth: node.depth + 1, seq: s.seq})
+		heap.Push(&s.h, &bbNode{fixes: up, bound: obj, depth: node.depth + 1, seq: s.seq, warm: res.basis})
 		s.cond.Broadcast()
 	}
+}
+
+// solveNode solves one node's LP relaxation: by warm dual simplex from the
+// parent's basis when there is one, else — or when the warm path gives up
+// — by the cold solveLP. cutoff is the pruning threshold when the node
+// started; the warm solve stops once its bound provably reaches it. The
+// bound is deflated by feasTol first, so tolerance-level dual
+// infeasibility cannot tip a node over the objective grid.
+func (s *bbSearch) solveNode(ws *rsLP, node *bbNode, lbs, ubs []float64, cutoff float64) (lpResult, error) {
+	if node.warm == nil {
+		res, err := solveLP(s.ctx, s.mod, lbs, ubs, s.deadline)
+		res.fallback = true
+		return res, err
+	}
+	stop := func(obj float64) bool { return s.snap(obj-feasTol) >= cutoff-1e-9 }
+	res, err := ws.solveWarm(s.ctx, s.mod, node.warm, lbs, ubs, s.deadline, stop)
+	if err == nil || errors.Is(err, errTimeLimit) {
+		return res, err
+	}
+	cold, err := solveLP(s.ctx, s.mod, lbs, ubs, s.deadline)
+	cold.iters += res.iters
+	cold.fallback = true
+	return cold, err
 }
 
 // Solve minimizes the model by LP-based best-first branch & bound. It never
@@ -328,10 +363,22 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 		}
 	}
 
-	// Root relaxation.
+	// Root relaxation. The model is lowered once: the root solves cold on
+	// that lowering, and every warm node LP shares it.
 	rootLB := append([]float64(nil), mod.lb...)
 	rootUB := append([]float64(nil), mod.ub...)
-	res, err := solveLP(ctx, mod, rootLB, rootUB, deadline)
+	var res lpResult
+	var shape *lpShape
+	root, err := lowerSparse(mod, rootLB, rootUB)
+	if err == nil {
+		shape = root.lpShape
+		res, err = root.solveOrDense(ctx, mod, rootLB, rootUB, deadline)
+	} else {
+		res, err = loweringResult(err)
+	}
+	if res.fallback {
+		sol.Fallbacks++
+	}
 	if err != nil {
 		if errors.Is(err, errTimeLimit) && incumbentX != nil {
 			sol.Status = StatusFeasible
@@ -384,7 +431,7 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 	}
 
 	s := &bbSearch{
-		mod: mod, opts: opts,
+		mod: mod, opts: opts, shape: shape,
 		rootLB: rootLB, rootUB: rootUB,
 		deadline: deadline, ctx: ctx, start: start, snap: snap,
 		inFlight:    make(map[int]float64),
@@ -395,7 +442,7 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 	}
 	s.cond = sync.NewCond(&s.mu)
 	heap.Init(&s.h)
-	heap.Push(&s.h, &bbNode{bound: res.obj, seq: 0})
+	heap.Push(&s.h, &bbNode{bound: res.obj, seq: 0, warm: res.basis})
 	s.traceLocked()
 
 	workers := opts.Workers
@@ -420,6 +467,7 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 		sol.Status = StatusUnbounded
 		sol.Nodes = s.nodes
 		sol.Iters += s.iters
+		sol.Fallbacks += s.fallbacks
 		sol.Elapsed = time.Since(start)
 		return sol, nil
 	}
@@ -440,6 +488,7 @@ func SolveContext(ctx context.Context, mod *Model, opts Options) (*Solution, err
 	}
 	sol.Nodes = s.nodes
 	sol.Iters += s.iters
+	sol.Fallbacks += s.fallbacks
 	sol.Bound = globalBound
 	sol.Elapsed = time.Since(start)
 	sol.Trace = append(sol.Trace, s.trace...)

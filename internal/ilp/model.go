@@ -1,7 +1,9 @@
 // Package ilp is a self-contained 0-1/mixed-integer linear program solver,
-// standing in for CPLEX in the COMPACT reproduction. It combines a dense
-// bounded-variable two-phase primal simplex for LP relaxations with
-// best-first branch & bound, and reports the anytime convergence data
+// standing in for CPLEX in the COMPACT reproduction. It combines a sparse
+// revised simplex for LP relaxations — two-phase primal at the root, a
+// dual simplex warm-started from the parent's basis in every child, the
+// dense tableau simplex as fallback — with best-first branch & bound,
+// and reports the anytime convergence data
 // (best integer, best bound, relative gap over time) that the paper's
 // Figures 10 and 11 plot.
 //
@@ -215,15 +217,19 @@ type TraceEvent struct {
 
 // Solution is the result of Solve.
 type Solution struct {
-	Status  Status
-	X       []float64
-	Obj     float64
-	Bound   float64 // proven lower bound on the optimum
-	Gap     float64
-	Nodes   int // branch & bound nodes processed
-	Iters   int // total simplex iterations
-	Elapsed time.Duration
-	Trace   []TraceEvent
+	Status Status
+	X      []float64
+	Obj    float64
+	Bound  float64 // proven lower bound on the optimum
+	Gap    float64
+	Nodes  int // branch & bound nodes processed
+	Iters  int // total simplex iterations
+	// Fallbacks counts the LP solves that left the fast path: a child
+	// whose warm dual simplex gave up and was re-solved cold, or a solve
+	// whose revised simplex fell back to the dense oracle.
+	Fallbacks int
+	Elapsed   time.Duration
+	Trace     []TraceEvent
 }
 
 // Options tunes Solve.

@@ -238,3 +238,64 @@ func TestParallelBBMaxNodes(t *testing.T) {
 		t.Fatalf("expanded %d nodes, budget 5", sol.Nodes)
 	}
 }
+
+// labelingShapeModel is the LP shape of the Eq. 4 labeling MIP on a
+// random sparse graph: two binaries per node with a "some label" row,
+// two 2-term rows per edge, an alignment row on every fifth node, and the
+// four dense rows that make every structural eta long — D ≥ R, D ≥ C,
+// the semiperimeter lower bound and 2D ≥ S.
+func labelingShapeModel(n int, seed uint64) *Model {
+	g := graph.Random(n, 2.2/float64(n), seed)
+	mod := NewModel("labeling-shape")
+	xV, xH := make([]int, n), make([]int, n)
+	for i := 0; i < n; i++ {
+		xV[i] = mod.AddVar(fmt.Sprintf("xV%d", i), 0, 1, Binary, 0.5)
+		xH[i] = mod.AddVar(fmt.Sprintf("xH%d", i), 0, 1, Binary, 0.5)
+	}
+	d := mod.AddVar("D", 0, float64(n), Integer, 0.5)
+	for i := 0; i < n; i++ {
+		mod.AddConstr("lbl", []Term{{xV[i], 1}, {xH[i], 1}}, GE, 1)
+	}
+	for _, e := range g.Edges() {
+		mod.AddConstr("conH", []Term{{xH[e[0]], 1}, {xH[e[1]], 1}}, GE, 1)
+		mod.AddConstr("conV", []Term{{xV[e[0]], 1}, {xV[e[1]], 1}}, GE, 1)
+	}
+	for i := 0; i < n/5; i++ {
+		mod.AddConstr("align", []Term{{xH[i*7%n], 1}}, GE, 1)
+	}
+	dgeR, dgeC := []Term{{d, 1}}, []Term{{d, 1}}
+	semi, half := []Term{}, []Term{{d, 2}}
+	for i := 0; i < n; i++ {
+		dgeR = append(dgeR, Term{xH[i], -1})
+		dgeC = append(dgeC, Term{xV[i], -1})
+		semi = append(semi, Term{xV[i], 1}, Term{xH[i], 1})
+		half = append(half, Term{xV[i], -1}, Term{xH[i], -1})
+	}
+	mod.AddConstr("DgeR", dgeR, GE, 0)
+	mod.AddConstr("DgeC", dgeC, GE, 0)
+	mod.AddConstr("semiLB", semi, GE, float64(n+5))
+	mod.AddConstr("DgeHalfS", half, GE, 0)
+	return mod
+}
+
+// TestReinversionBudget is the regression test for an eta-file budget
+// smaller than a fresh factorization: with the four dense rows a
+// reinversion's own factor exceeded a fixed 16m+1024 nonzeros, so the
+// first pivot after each reinversion triggered the next one. Measured
+// from the fresh factor, the budget lets reinversion happen only every
+// refactorEvery pivots (plus the final one).
+func TestReinversionBudget(t *testing.T) {
+	mod := labelingShapeModel(300, 7)
+	p, err := lowerSparse(mod, mod.lb, mod.ub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.solveCold(context.Background(), mod, mod.lb, mod.ub, time.Time{})
+	if err != nil || res.status != StatusOptimal {
+		t.Fatalf("status %v, err %v", res.status, err)
+	}
+	if limit := p.allPivots/refactorEvery + 2; p.refactors > limit {
+		t.Errorf("%d reinversions for %d pivots (m=%d, fresh factor %d nonzeros), want at most %d",
+			p.refactors, p.allPivots, p.m, p.baseNNZ, limit)
+	}
+}

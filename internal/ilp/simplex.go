@@ -401,6 +401,15 @@ type lpResult struct {
 	x      []float64
 	obj    float64
 	iters  int
+	// basis is the optimal basis of a revised solve, for warm-starting
+	// descendants; nil from the dense oracle.
+	basis *basisSnap
+	// fallback marks a solve that left its fast path: warm dual → cold
+	// primal, or revised → dense.
+	fallback bool
+	// cutoff marks a warm solve stopped early: obj is a lower bound on
+	// the LP optimum that already meets the caller's cutoff, and x is nil.
+	cutoff bool
 }
 
 // solveLPDense solves the LP relaxation of mod with the given bound

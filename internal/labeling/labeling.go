@@ -211,6 +211,9 @@ type Solution struct {
 	// empty for non-MIP methods. For MethodPortfolio it is the winning
 	// engine's trace.
 	Trace []ilp.TraceEvent
+	// LPFallbacks is the MIP's count of LP solves that left the solver's
+	// fast path (ilp.Solution.Fallbacks); zero for non-MIP methods.
+	LPFallbacks int
 	// Engines reports the per-engine outcome of a MethodPortfolio race
 	// (which engine won, each engine's objective and elapsed time); nil for
 	// the single-engine methods.
@@ -741,7 +744,7 @@ func solveMIP(ctx context.Context, p Problem, opts Options, primer *Solution, be
 	if sol.X == nil {
 		// No incumbent at all (should not happen: all-VH is feasible and
 		// the heuristic always yields one); fall back to the primer.
-		return &Solution{Labels: best.Labels, Stats: best.Stats, Method: "mip-fallback", Trace: sol.Trace}, nil
+		return &Solution{Labels: best.Labels, Stats: best.Stats, Method: "mip-fallback", Trace: sol.Trace, LPFallbacks: sol.Fallbacks}, nil
 	}
 	labels := make([]Label, n)
 	for i := 0; i < n; i++ {
@@ -780,11 +783,12 @@ func solveMIP(ctx context.Context, p Problem, opts Options, primer *Solution, be
 		trace = append(trace, last)
 	}
 	return &Solution{
-		Labels:  labels,
-		Stats:   st,
-		Optimal: optimal,
-		Method:  "mip",
-		Trace:   trace,
+		Labels:      labels,
+		Stats:       st,
+		Optimal:     optimal,
+		Method:      "mip",
+		Trace:       trace,
+		LPFallbacks: sol.Fallbacks,
 	}, nil
 }
 
